@@ -3,7 +3,7 @@
 
 One workload, as a harness calls it (the result is the last stdout line):
 
-    python3 dsbench/run.py --workload solve-ds-k4 --seed 1 --seconds 8 --trace 0
+    python3 dsbench/run.py --workload solve-ds-k4 --seed 1 --seconds 6 --trace 0
 
 Every workload once, printing every metric by name with its unit:
 
@@ -11,7 +11,8 @@ Every workload once, printing every metric by name with its unit:
 
 Steadiness: each workload on N seeds, then per end-to-end metric the
 median, the quartiles and the quartile spread relative to the bound in
-BENCHMARK.json:
+BENCHMARK.json, and for the times reported at the reference speed also
+the spread of the raw times:
 
     python3 dsbench/run.py --steady 10 [--workload NAME ...] [--seed 100]
 
@@ -24,6 +25,7 @@ nonzero when the build fails, a run fails or a correctness check fails.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -73,13 +75,20 @@ def bounds():
     return {m["name"]: m.get("bound") for m in spec.get("end_to_end", [])}
 
 
+def spread(values):
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return q1, med, q3, (q3 - q1) / med if med else 0.0
+
+
 def steady(binary, workloads, runs, first_seed, seconds):
     limits = bounds()
     failed = False
-    print("| workload | metric | unit | median | q1 | q3 | spread | bound | spread/bound |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("| workload | metric | unit | median | q1 | q3 | spread | bound | spread/bound "
+          "| raw spread |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for workload in workloads:
         values = {}
+        raw = {}
         units = {}
         for i in range(runs):
             seed = first_seed + i
@@ -92,17 +101,29 @@ def steady(binary, workloads, runs, first_seed, seconds):
             for name, m in result["metrics"].items():
                 values.setdefault(name, []).append(m["value"])
                 units[name] = m["unit"]
-            raw = " ".join(f"{k}={m['value']:.6g}" for k, m in result["metrics"].items())
-            sys.stderr.write(f"# {workload} seed {seed}: {raw}\n")
+            # The raw values behind the metrics reported at the reference
+            # speed are the text lines `raw.<name>`.
+            retaken = "?"
+            for line in out.splitlines():
+                found = re.match(r"(?:raw\.)?(\S+)\s+([0-9.e+-]+) ", line)
+                if found and (line.startswith("raw.") or found.group(1) == "calib.probe_ms"):
+                    raw.setdefault(found.group(1), []).append(float(found.group(2)))
+                count = re.search(r"(\d+) retaken", line)
+                if count:
+                    retaken = count.group(1)
+            line = " ".join(f"{k}={m['value']:.6g}" for k, m in result["metrics"].items())
+            probe = raw.get("calib.probe_ms", [0])[-1]
+            sys.stderr.write(f"# {workload} seed {seed}: probe={probe:.4g} "
+                             f"(retaken {retaken}) {line}\n")
         for name, vals in values.items():
             if len(vals) < 2:
                 continue
-            q1, med, q3 = statistics.quantiles(vals, n=4)
-            spread = (q3 - q1) / med if med else 0.0
+            q1, med, q3, s = spread(vals)
             bound = limits.get(name)
-            ratio = f"{spread / bound:.2f}" if bound else "-"
+            ratio = f"{s / bound:.2f}" if bound else "-"
+            r = f"{spread(raw[name])[3]:.4f}" if len(raw.get(name, [])) == len(vals) else "-"
             print(f"| {workload} | {name} | {units[name]} | {med:.6g} | {q1:.6g} | {q3:.6g} "
-                  f"| {spread:.4f} | {bound if bound is not None else '-'} | {ratio} |")
+                  f"| {s:.4f} | {bound if bound is not None else '-'} | {ratio} | {r} |")
         sys.stdout.flush()
     return 1 if failed else 0
 
@@ -112,7 +133,7 @@ def main():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", action="append", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--seconds", type=float, default=8)
+    p.add_argument("--seconds", type=float, default=6)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--all", action="store_true", help="run every workload once")
     p.add_argument("--steady", type=int, metavar="N", help="run each workload on N seeds")

@@ -25,7 +25,7 @@ fn main() {
     let mut cfg = Config {
         workload: Workload::Solve,
         seed: 42,
-        seconds: 8.0,
+        seconds: 6.0,
         trace: false,
         scale: 1.0,
         work: PathBuf::from(".dsbench"),

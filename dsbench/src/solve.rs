@@ -1,6 +1,7 @@
 //! The static phase: snapshot load, then LP and GC solves alternating on
 //! the same graph (the paper's main static experiment, LP against its GC
-//! competitor). The first pair is warm-up and is not timed.
+//! competitor). The first pair is warm-up and is not timed; the timed
+//! pairs are spread over the run's rounds.
 
 use crate::report::Report;
 use crate::stats::median;
@@ -11,7 +12,7 @@ use dkc_clique::{collect_kcliques_store_parallel, node_scores_parallel};
 use dkc_core::{Algo, Engine, SolveRequest};
 use dkc_graph::io::read_snapshot_path;
 use dkc_graph::{CsrGraph, Dag, NodeOrder, OrderingKind};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// What the static phase measured.
@@ -25,56 +26,81 @@ pub struct SolveOut {
     pub gc_ms: Vec<f64>,
     /// LP's |S|.
     pub cliques: usize,
-    /// Peak heap over the solves, bytes above the loaded graph.
+    /// Peak heap of one solve, bytes above the loaded graph (the highest
+    /// over every solve).
     pub peak_bytes: usize,
+}
+
+/// Loads the snapshot at `ds` and appends the load time, s, to `times`.
+fn timed_load(ds: &Path, times: &mut Vec<f64>) -> std::io::Result<CsrGraph> {
+    let t = Instant::now();
+    let loaded = read_snapshot_path(ds).map_err(std::io::Error::other)?;
+    times.push(secs(t));
+    Ok(loaded.graph)
 }
 
 fn request(algo: Algo) -> SolveRequest {
     SolveRequest::new(algo, K).with_threads(THREADS)
 }
 
-/// Loads `ds` `loads` times (the last copy is used), then runs one warm-up
-/// LP/GC pair and `pairs` timed pairs. Every solution is verified and the
-/// solvers must repeat their |S| exactly.
-pub fn run(
-    ds: &Path,
-    loads: usize,
-    pairs: usize,
-    report: &mut Report,
-) -> std::io::Result<SolveOut> {
-    let mut out = SolveOut::default();
-    let mut graph = None;
-    for _ in 0..loads.max(1) {
-        let t = Instant::now();
-        let loaded = read_snapshot_path(ds).map_err(std::io::Error::other)?;
-        out.load_s.push(secs(t));
-        graph = Some(loaded.graph);
+/// The static phase across a run's rounds: the loaded graph and what was
+/// measured so far.
+pub struct Solve {
+    ds: PathBuf,
+    graph: CsrGraph,
+    /// |S| of the first LP and the first GC solve.
+    sizes: [Option<usize>; 2],
+    /// What the phase measured.
+    pub out: SolveOut,
+}
+
+impl Solve {
+    /// Loads `ds`, timed, then runs the untimed warm-up pair.
+    pub fn new(ds: &Path, report: &mut Report) -> std::io::Result<Solve> {
+        let mut out = SolveOut::default();
+        let graph = timed_load(ds, &mut out.load_s)?;
+        let mut solve = Solve { ds: ds.to_path_buf(), graph, sizes: [None; 2], out };
+        solve.pair(false, report);
+        Ok(solve)
     }
-    let g = graph.expect("at least one load");
-    let base = mem::reset_peak();
-    let mut sizes = [None, None];
-    for pair in 0..=pairs {
+
+    /// Loads the snapshot again, timed; the new copy replaces the graph.
+    pub fn load(&mut self) -> std::io::Result<()> {
+        self.graph = timed_load(&self.ds, &mut self.out.load_s)?;
+        Ok(())
+    }
+
+    /// The loaded graph.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
+    }
+
+    /// One LP solve and one GC solve, timed when `timed`. Every solution
+    /// is verified and each solver must repeat its first |S| exactly.
+    pub fn pair(&mut self, timed: bool, report: &mut Report) {
+        let g = &self.graph;
         for (slot, algo) in [Algo::Lp, Algo::Gc].into_iter().enumerate() {
+            let base = mem::reset_peak();
             let t = Instant::now();
-            let solved = Engine::solve(&g, request(algo));
+            let solved = Engine::solve(g, request(algo));
             let elapsed = ms(t);
+            self.out.peak_bytes = self.out.peak_bytes.max(mem::peak_bytes().saturating_sub(base));
             let Ok(rep) = solved else {
                 report.check(false, || format!("{algo} solve failed: {solved:?}"));
                 continue;
             };
-            let valid = rep.solution.verify(&g);
+            let valid = rep.solution.verify(g);
             report.check(valid.is_ok(), || format!("{algo} solution invalid: {valid:?}"));
             let size = rep.solution.len();
-            let first = *sizes[slot].get_or_insert(size);
+            let first = *self.sizes[slot].get_or_insert(size);
             report.check(size == first, || format!("{algo} |S| changed: {first} then {size}"));
-            if pair > 0 {
-                if algo == Algo::Lp { &mut out.lp_ms } else { &mut out.gc_ms }.push(elapsed);
+            if timed {
+                if algo == Algo::Lp { &mut self.out.lp_ms } else { &mut self.out.gc_ms }
+                    .push(elapsed);
             }
         }
+        self.out.cliques = self.sizes[0].unwrap_or(0);
     }
-    out.peak_bytes = mem::peak_bytes().saturating_sub(base);
-    out.cliques = sizes[0].unwrap_or(0);
-    Ok(out)
 }
 
 /// The traced decomposition of one LP and one GC solve, replayed `reps`

@@ -61,25 +61,6 @@ pub fn tail(samples: &[f64]) -> Option<Tail> {
     })
 }
 
-/// Time windows a run's tail is read over.
-pub const TAIL_WINDOWS: usize = 5;
-
-/// The tail of a run, robust to a burst of machine noise: `samples` (in
-/// the order they were taken) are cut into [`TAIL_WINDOWS`] consecutive
-/// windows, [`tail`] is read in each, and the median of the window values
-/// is reported, with the total count. Windows are used only when each
-/// holds a full p99 (100 · [`TAIL_BEYOND`] samples); otherwise the whole
-/// run is one window, so a rare slow path is never cut below its share.
-pub fn windowed_tail(samples: &[f64]) -> Option<Tail> {
-    let size = samples.len() / TAIL_WINDOWS;
-    if size < 100 * TAIL_BEYOND {
-        return tail(samples);
-    }
-    let values: Option<Vec<f64>> =
-        samples.chunks(size).take(TAIL_WINDOWS).map(|w| tail(w).map(|t| t.value)).collect();
-    Some(Tail { pct: 99.0, value: median(&values?)?, n: size * TAIL_WINDOWS })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,24 +99,6 @@ mod tests {
         assert_eq!(tail(&ramp(20)).unwrap().pct, 50.0);
         assert_eq!(tail(&ramp(19)), None);
         assert_eq!(tail(&[]), None);
-    }
-
-    #[test]
-    fn windowed_tail_ignores_a_burst_in_one_window() {
-        // Five windows of 1000; the third had a stall that slowed 10% of
-        // its requests 100-fold. Whole-run p99 lands in the burst; the
-        // median of the window p99s does not.
-        let mut v: Vec<f64> = Vec::new();
-        for w in 0..TAIL_WINDOWS {
-            v.extend((1..=1000).map(|i| if w == 2 && i % 10 == 0 { 100_000.0 } else { i as f64 }));
-        }
-        assert_eq!(tail(&v).unwrap().value, 100_000.0);
-        let t = windowed_tail(&v).unwrap();
-        assert_eq!((t.pct, t.value, t.n), (99.0, 990.0, 5000));
-        // Windows short of a full p99: one window over everything.
-        assert_eq!(windowed_tail(&ramp(4999)), tail(&ramp(4999)));
-        assert_eq!(windowed_tail(&ramp(60)), tail(&ramp(60)));
-        assert_eq!(windowed_tail(&[]), None);
     }
 
     #[test]

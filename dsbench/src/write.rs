@@ -1,12 +1,13 @@
 //! The write phase: a durable server (journal `fdatasync` per batch) on
 //! G′, a closed-loop writer sending the mixed stream in batches of
 //! [`BATCH`], an open-loop reader sending `group_of` lookups (and `stats`
-//! every 16th request) on a fixed schedule, then a restart from the state
+//! every 16th request) on a fixed schedule, and restarts from the state
 //! directory whose epoch, `stats` and `solution` must match byte for byte.
+//! The server, its traffic and its restarts carry over the run's rounds.
 
 use crate::report::Report;
 use crate::server::{
-    self, durable_stats, member_u64, solution_request, stats_request, verify_solution,
+    self, durable_stats, member_u64, solution_request, stats_request, verify_solution, Running,
 };
 use crate::stats::median;
 use crate::trace::Tracer;
@@ -20,7 +21,7 @@ use dkc_graph::io::read_snapshot_path;
 use dkc_graph::CsrGraph;
 use dkc_serve::protocol::{render_query_request, render_update_request};
 use dkc_serve::{Query, ServerConfig};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -28,10 +29,10 @@ use std::time::{Duration, Instant};
 pub const BATCH: usize = 8;
 /// Writer requests before timing starts.
 pub const WARMUP_BATCHES: usize = 16;
-/// Timed restarts per run (`restore_s` is their median).
-const RESTARTS: usize = 3;
-/// Reader requests before timing starts.
-const WARMUP_LOOKUPS: usize = 64;
+/// Writer requests at the start of each traffic call that are not timed.
+const ROUND_WARMUP_BATCHES: usize = 2;
+/// Reader requests at the start of each traffic call that are not timed.
+const ROUND_WARMUP_LOOKUPS: usize = 16;
 /// The reader's schedule: one request per period.
 const LOOKUP_PERIOD: Duration = Duration::from_micros(1000);
 
@@ -52,7 +53,7 @@ pub struct WriteOut {
     pub late_ms: Vec<f64>,
     /// Served |S| at the end.
     pub cliques: usize,
-    /// Peak heap from the last creation to the end of the traffic, bytes.
+    /// Peak heap from the last creation to the end of the warm-up, bytes.
     pub peak_bytes: usize,
     /// Epochs per update request.
     pub epochs_per_request: f64,
@@ -70,141 +71,185 @@ fn request() -> SolveRequest {
     SolveRequest::new(Algo::Lp, K).with_threads(THREADS)
 }
 
-/// Runs the phase: `setups` timed creations (the last one serves), then
-/// `batches` timed update requests after [`WARMUP_BATCHES`], then
-/// [`RESTARTS`] timed restarts.
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    gprime: &Path,
-    stream: &[EdgeUpdate],
-    state: &Path,
-    setups: usize,
-    batches: usize,
+/// The write phase across a run's rounds.
+pub struct Write {
+    /// The benchmark's own copy of G′, for the replay check.
+    g: CsrGraph,
+    traffic: Traffic,
+    state: PathBuf,
+    running: Option<Running>,
     seed: u64,
-    tracer: &Tracer,
-    report: &mut Report,
-) -> std::io::Result<WriteOut> {
-    // The benchmark's own copy of G′ (for the replay check) is loaded
-    // before the measured region.
-    let g = read_snapshot_path(gprime).map_err(std::io::Error::other)?.graph;
-    let mut out = WriteOut::default();
-    let mut running = None;
-    let mut base = 0;
-    for _ in 0..setups.max(1) {
-        if let Some(r) = running.take() {
-            server::stop(r)?;
-        }
-        base = mem::reset_peak();
-        let t = Instant::now();
-        let loaded = read_snapshot_path(gprime).map_err(std::io::Error::other)?;
-        let serving = ServingSolver::create(state, &loaded.graph, request())
-            .map_err(std::io::Error::other)?;
-        drop(loaded);
-        let (r, _) = server::start(serving, config())?;
-        out.setup_s.push(secs(t));
-        report.op(true);
-        settle(state)?;
-        running = Some(r);
-    }
-    let running = running.expect("at least one setup");
-    let mut traffic = Traffic::new(stream, &g);
-    let num_nodes = g.num_nodes() as u64;
-    let done = AtomicBool::new(false);
-    let addr = running.addr;
+    /// Traffic calls so far (seeds each call's lookup stream).
+    calls: u64,
+    /// Update requests sent so far, warm-up included.
+    requests: u64,
+    /// What the phase measured.
+    pub out: WriteOut,
+}
 
-    let (writer, reader) = std::thread::scope(|s| {
-        let traffic = &mut traffic;
-        let done = &done;
-        let writer = s.spawn(move || -> std::io::Result<(Vec<f64>, Vec<f64>, u64, u64)> {
-            let mut conn = Conn::connect(addr)?;
-            let (mut plain, mut traced) = (Vec::new(), Vec::new());
-            let mut failed = 0;
-            let total = WARMUP_BATCHES + batches;
-            for i in 0..total {
-                let batch = traffic.next_batch(BATCH);
-                let line = render_update_request(&batch);
-                // In a traced run every other request carries a client span,
-                // so the two halves give the tracing overhead.
-                let spanned = tracer.enabled() && i % 2 == 0;
-                let t = Instant::now();
-                let reply = if spanned {
-                    tracer.span("wire.update", None, i as u64, || {
-                        conn.call(&line).map(str::to_string)
-                    })
-                } else {
-                    conn.call(&line).map(str::to_string)
-                };
-                let elapsed = ms(t);
-                let reply = reply.inspect_err(|_| done.store(true, Ordering::SeqCst))?;
-                if !reply_ok(&reply) || member_u64(&reply, &["applied"]) != Some(BATCH as u64) {
-                    failed += 1;
-                }
-                if i >= WARMUP_BATCHES {
-                    if spanned { &mut traced } else { &mut plain }.push(elapsed);
-                }
+impl Write {
+    /// `setups` timed creations of the durable server on G′ (the last one
+    /// serves), then [`WARMUP_BATCHES`] untimed update requests. The peak
+    /// heap is taken from the last creation to the end of the warm-up.
+    pub fn new(
+        gprime: &Path,
+        stream: &[EdgeUpdate],
+        state: &Path,
+        setups: usize,
+        seed: u64,
+        tracer: &Tracer,
+        report: &mut Report,
+    ) -> std::io::Result<Write> {
+        // Loaded before anything is timed.
+        let g = read_snapshot_path(gprime).map_err(std::io::Error::other)?.graph;
+        let traffic = Traffic::new(stream, &g);
+        let mut w = Write {
+            g,
+            traffic,
+            state: state.to_path_buf(),
+            running: None,
+            seed,
+            calls: 0,
+            requests: 0,
+            out: WriteOut::default(),
+        };
+        let mut base = 0;
+        for _ in 0..setups.max(1) {
+            if let Some(r) = w.running.take() {
+                server::stop(r)?;
             }
-            done.store(true, Ordering::SeqCst);
-            Ok((plain, traced, total as u64, failed))
-        });
-        let reader = s.spawn(move || -> std::io::Result<(Vec<f64>, Vec<f64>, u64, u64)> {
-            let mut conn = Conn::connect(addr)?;
-            let mut rng = Rng::new(seed ^ 0x100C);
-            let schedule = Schedule::new(LOOKUP_PERIOD);
-            let (mut lookups, mut late) = (Vec::new(), Vec::new());
-            let (mut sent, mut failed) = (0u64, 0u64);
-            while !done.load(Ordering::SeqCst) {
-                let line = if sent % 16 == 15 {
-                    stats_request()
-                } else {
-                    render_query_request(Query::GroupOf(rng.below(num_nodes) as u32))
-                };
-                let (reply, timed) = schedule.run(sent, || conn.call(&line).map(reply_ok));
-                if !reply? {
-                    failed += 1;
-                }
-                if sent as usize >= WARMUP_LOOKUPS {
-                    lookups.push(timed.latency_ns as f64 / 1e3);
-                    late.push(timed.late_ns as f64 / 1e6);
-                }
-                sent += 1;
-            }
-            Ok((lookups, late, sent, failed))
-        });
-        (writer.join().expect("writer thread"), reader.join().expect("reader thread"))
-    });
-    let (plain, traced, requests, write_failed) = writer?;
-    let (lookups, late, sent, read_failed) = reader?;
-    report.ops(requests + sent, write_failed + read_failed);
-    out.peak_bytes = mem::peak_bytes().saturating_sub(base);
-    (out.update_ms, out.traced_update_ms, out.lookup_us, out.late_ms) =
-        (plain, traced, lookups, late);
-
-    // Final state, checked against the benchmark's own replay.
-    let mut conn = Conn::connect(addr)?;
-    let stats_body = conn.call(&stats_request())?.to_string();
-    let solution_body = conn.call(&solution_request())?.to_string();
-    drop(conn);
-    let epoch = member_u64(&stats_body, &["epoch"]);
-    out.epochs_per_request = epoch.unwrap_or(0) as f64 / requests.max(1) as f64;
-    match verify_solution(&solution_body, K, &g, &traffic) {
-        Ok(size) => {
-            out.cliques = size;
+            base = mem::reset_peak();
+            let t = Instant::now();
+            let loaded = read_snapshot_path(gprime).map_err(std::io::Error::other)?;
+            let serving = ServingSolver::create(state, &loaded.graph, request())
+                .map_err(std::io::Error::other)?;
+            drop(loaded);
+            let (r, _) = server::start(serving, config())?;
+            w.out.setup_s.push(secs(t));
             report.op(true);
+            settle(state)?;
+            w.running = Some(r);
         }
-        Err(e) => report.check(false, || format!("write phase: {e}")),
+        w.traffic(WARMUP_BATCHES, false, tracer, report)?;
+        w.out.peak_bytes = mem::peak_bytes().saturating_sub(base);
+        Ok(w)
     }
-    server::stop(running)?;
 
-    // Restart from the state directory [`RESTARTS`] times (a restore
-    // rewrites the journal to its committed records, so each restart
-    // replays the same state).
-    for _ in 0..RESTARTS {
-        settle(state)?;
+    /// Update requests from the closed-loop writer while the open-loop
+    /// reader sends lookups on its schedule. A timed call first sends
+    /// [`ROUND_WARMUP_BATCHES`] untimed requests, then `batches` timed
+    /// ones, and leaves out its first [`ROUND_WARMUP_LOOKUPS`] lookups:
+    /// each call opens fresh connections, after a restart to a fresh
+    /// server. An untimed call sends `batches` requests.
+    pub fn traffic(
+        &mut self,
+        batches: usize,
+        timed: bool,
+        tracer: &Tracer,
+        report: &mut Report,
+    ) -> std::io::Result<()> {
+        let addr = self.running.as_ref().expect("server running").addr;
+        let num_nodes = self.g.num_nodes() as u64;
+        let first_request = self.requests;
+        let warm = if timed { ROUND_WARMUP_BATCHES } else { 0 };
+        let batches = warm + batches;
+        let lookup_seed = self.seed ^ 0x100C ^ (self.calls << 32);
+        self.calls += 1;
+        let done = AtomicBool::new(false);
+        let traffic = &mut self.traffic;
+        let (writer, reader) = std::thread::scope(|s| {
+            let done = &done;
+            let writer = s.spawn(move || -> std::io::Result<(Vec<f64>, Vec<f64>, u64)> {
+                let mut conn = Conn::connect(addr)?;
+                let (mut plain, mut traced) = (Vec::new(), Vec::new());
+                let mut failed = 0;
+                for i in 0..batches {
+                    let batch = traffic.next_batch(BATCH);
+                    let line = render_update_request(&batch);
+                    let request = first_request + i as u64;
+                    // In a traced run every other request carries a client
+                    // span, so the two halves give the tracing overhead.
+                    let spanned = tracer.enabled() && request.is_multiple_of(2);
+                    let t = Instant::now();
+                    let reply = if spanned {
+                        tracer.span("wire.update", None, request, || {
+                            conn.call(&line).map(str::to_string)
+                        })
+                    } else {
+                        conn.call(&line).map(str::to_string)
+                    };
+                    let elapsed = ms(t);
+                    let reply = reply.inspect_err(|_| done.store(true, Ordering::SeqCst))?;
+                    if !reply_ok(&reply) || member_u64(&reply, &["applied"]) != Some(BATCH as u64) {
+                        failed += 1;
+                    }
+                    if timed && i >= warm {
+                        if spanned { &mut traced } else { &mut plain }.push(elapsed);
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+                Ok((plain, traced, failed))
+            });
+            let reader = s.spawn(move || -> std::io::Result<(Vec<f64>, Vec<f64>, u64, u64)> {
+                let mut conn = Conn::connect(addr)?;
+                let mut rng = Rng::new(lookup_seed);
+                let schedule = Schedule::new(LOOKUP_PERIOD);
+                let (mut lookups, mut late) = (Vec::new(), Vec::new());
+                let (mut sent, mut failed) = (0u64, 0u64);
+                while !done.load(Ordering::SeqCst) {
+                    let line = if sent % 16 == 15 {
+                        stats_request()
+                    } else {
+                        render_query_request(Query::GroupOf(rng.below(num_nodes) as u32))
+                    };
+                    let (reply, timed_at) = schedule.run(sent, || conn.call(&line).map(reply_ok));
+                    if !reply? {
+                        failed += 1;
+                    }
+                    if timed && sent as usize >= ROUND_WARMUP_LOOKUPS {
+                        lookups.push(timed_at.latency_ns as f64 / 1e3);
+                        late.push(timed_at.late_ns as f64 / 1e6);
+                    }
+                    sent += 1;
+                }
+                Ok((lookups, late, sent, failed))
+            });
+            (writer.join().expect("writer thread"), reader.join().expect("reader thread"))
+        });
+        let (plain, traced, write_failed) = writer?;
+        let (lookups, late, sent, read_failed) = reader?;
+        self.requests += batches as u64;
+        report.ops(batches as u64 + sent, write_failed + read_failed);
+        self.out.update_ms.extend(plain);
+        self.out.traced_update_ms.extend(traced);
+        self.out.lookup_us.extend(lookups);
+        self.out.late_ms.extend(late);
+        Ok(())
+    }
+
+    /// The served `stats` and `solution` bodies.
+    fn bodies(&self) -> std::io::Result<(String, String)> {
+        let mut conn = Conn::connect(self.running.as_ref().expect("server running").addr)?;
+        let stats = conn.call(&stats_request())?.to_string();
+        let solution = conn.call(&solution_request())?.to_string();
+        Ok((stats, solution))
+    }
+
+    /// Stops the server and restarts it from the state directory, timed
+    /// until the first reply. The restarted server must report the epoch,
+    /// `stats` body and `solution` body it had before shutdown, byte for
+    /// byte; it serves the following rounds.
+    pub fn restart(&mut self, report: &mut Report) -> std::io::Result<()> {
+        let (stats_body, solution_body) = self.bodies()?;
+        let epoch = member_u64(&stats_body, &["epoch"]);
+        server::stop(self.running.take().expect("server running"))?;
+        settle(&self.state)?;
         let t = Instant::now();
-        let restored = ServingSolver::restore(state).map_err(std::io::Error::other)?;
+        let restored = ServingSolver::restore(&self.state).map_err(std::io::Error::other)?;
         let (running, first) = server::start(restored, config())?;
-        out.restore_s.push(secs(t));
+        self.out.restore_s.push(secs(t));
         let again = Conn::connect(running.addr)?.call(&solution_request())?.to_string();
+        self.running = Some(running);
         report.check(member_u64(&first, &["epoch"]) == epoch && epoch.is_some(), || {
             format!("restart epoch {:?}, before {epoch:?}", member_u64(&first, &["epoch"]))
         });
@@ -216,11 +261,27 @@ pub fn run(
             )
         });
         report.check(again == solution_body, || "restart solution body differs".into());
-        server::stop(running)?;
+        Ok(())
     }
-    settle(state)?;
-    out.stats_body = stats_body;
-    Ok(out)
+
+    /// Checks the final served solution against the benchmark's own replay
+    /// of the traffic, stops the server and returns what was measured.
+    pub fn finish(mut self, report: &mut Report) -> std::io::Result<WriteOut> {
+        let (stats_body, solution_body) = self.bodies()?;
+        let epoch = member_u64(&stats_body, &["epoch"]);
+        self.out.epochs_per_request = epoch.unwrap_or(0) as f64 / self.requests.max(1) as f64;
+        match verify_solution(&solution_body, K, &self.g, &self.traffic) {
+            Ok(size) => {
+                self.out.cliques = size;
+                report.op(true);
+            }
+            Err(e) => report.check(false, || format!("write phase: {e}")),
+        }
+        server::stop(self.running.take().expect("server running"))?;
+        settle(&self.state)?;
+        self.out.stats_body = stats_body;
+        Ok(self.out)
+    }
 }
 
 /// The traced replay of the write path: the first `batches` batches of the
