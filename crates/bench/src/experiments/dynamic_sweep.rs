@@ -15,8 +15,8 @@ use std::collections::HashMap;
 /// applies, so per-update averages stay comparable with the paper's
 /// single-update Fig. 7 protocol. The timed region is the *maintenance
 /// kernel* only: epoch-snapshot publication is deliberately outside it
-/// (its per-batch cost is measured separately by `bench_dynamic`'s
-/// publish group), so Fig. 7 cells are not inflated by
+/// (it is part of `dkc bench`'s `apply_batch_ns`, which drives a
+/// publishing `ServingSolver`), so Fig. 7 cells are not inflated by
 /// O(|S| log |S| + n) view building the paper protocol does not have.
 const SWEEP_BATCH: usize = 64;
 

@@ -9,7 +9,7 @@ use crate::config::ReproConfig;
 use crate::mem::with_peak_tracking;
 use crate::table::Table;
 use crate::{human_count, timed};
-use dkc_clique::{collect_kcliques_store, count_kcliques_parallel};
+use dkc_clique::ListRequest;
 use dkc_graph::{Dag, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
 
@@ -30,7 +30,10 @@ pub fn run(cfg: &ReproConfig) -> String {
         let (counts, elapsed) = timed(|| {
             let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
             let par = ParConfig::default();
-            cfg.ks.iter().map(|&k| count_kcliques_parallel(&dag, k, par)).collect::<Vec<u64>>()
+            cfg.ks
+                .iter()
+                .map(|&k| ListRequest::new(k).with_par(par).count(&dag))
+                .collect::<Vec<u64>>()
         });
         let mut row = vec![
             id.name().to_string(),
@@ -44,7 +47,7 @@ pub fn run(cfg: &ReproConfig) -> String {
         let kmin = cfg.ks.iter().copied().min().unwrap_or(3);
         let peak = {
             let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-            let (store, peak) = with_peak_tracking(|| collect_kcliques_store(&dag, kmin));
+            let (store, peak) = with_peak_tracking(|| ListRequest::new(kmin).collect(&dag, None));
             drop(store);
             peak
         };

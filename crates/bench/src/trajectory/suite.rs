@@ -25,7 +25,7 @@
 
 use super::line::MetricValue;
 use crate::mem::{with_alloc_tracking, with_peak_tracking};
-use dkc_clique::{collect_kcliques_store, collect_kcliques_store_parallel};
+use dkc_clique::ListRequest;
 use dkc_core::{improve, Algo, Engine, ImproveConfig, SolveRequest};
 use dkc_datagen::registry::DatasetId;
 use dkc_datagen::workload::{paper_mixed_workload, Update};
@@ -142,15 +142,15 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     let mut metrics: Vec<(String, MetricValue)> = Vec::new();
     let mut push = |name: &str, v: MetricValue| metrics.push((name.to_string(), v));
 
-    // 1. k-clique listing (the paper's core enumeration kernel), through
-    //    the flat `CliqueStore` arena — the production collector since the
-    //    arena rewire (bit-identical rows to the legacy `Vec<Clique>` path).
+    // 1. k-clique listing (the paper's core enumeration kernel) into the
+    //    flat `CliqueStore` arena.
     let mut samples = Vec::with_capacity(reps);
     let mut kcliques = 0u64;
     for _ in 0..reps {
         let t = Instant::now();
         let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-        let cliques = collect_kcliques_store_parallel(&dag, cfg.k, cfg.par);
+        let cliques = ListRequest::new(cfg.k).with_par(cfg.par).collect(&dag, None);
+        let cliques = cliques.expect("an unbounded collection never fails");
         samples.push(ns(t));
         kcliques = cliques.len() as u64;
     }
@@ -164,7 +164,8 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteOutcome, SuiteError> {
     //     CLI does; under `cargo test` both sides of a check read 0, which
     //     still compares consistently).
     let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-    let (store, list_peak) = with_peak_tracking(|| collect_kcliques_store(&dag, cfg.k));
+    let (store, list_peak) = with_peak_tracking(|| ListRequest::new(cfg.k).collect(&dag, None));
+    let store = store.expect("an unbounded collection never fails");
     if store.len() as u64 != kcliques {
         return Err(fail("list alloc bracket", "sequential arena disagrees with parallel count"));
     }

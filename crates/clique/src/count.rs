@@ -1,83 +1,13 @@
 use crate::kernel::{self, DenseIndex, KernelMode};
 use crate::list::intersect_sorted;
 use dkc_graph::{Dag, NodeId};
-use dkc_par::{par_reduce, ParConfig};
-
-/// Counts all k-cliques of the graph without materialising them.
-pub fn count_kcliques(dag: &Dag, k: usize) -> u64 {
-    count_kcliques_parallel(dag, k, ParConfig::sequential())
-}
-
-/// Computes per-node k-clique counts — the *node scores* `s_n(u)` of
-/// Definition 5 — in a single enumeration pass and `O(n + m)` memory.
-///
-/// This is Line 2 of Algorithm 3: scores are accumulated during the kClist
-/// recursion; no clique is ever stored. At the innermost level, every
-/// candidate completes a clique, so the counts are aggregated wholesale
-/// (`O(|cand| + k)` per parent instead of `O(k)` per clique).
-pub fn node_scores(dag: &Dag, k: usize) -> Vec<u64> {
-    node_scores_parallel(dag, k, ParConfig::sequential())
-}
-
-/// Parallel [`node_scores`] on the [`dkc_par`] executor: root nodes are
-/// distributed over workers in chunks; per-worker score arrays are summed
-/// element-wise at the end. Bit-identical to the sequential pass for any
-/// thread count (`u64` addition commutes).
-pub fn node_scores_parallel(dag: &Dag, k: usize, par: ParConfig) -> Vec<u64> {
-    node_scores_kernel(dag, k, par, KernelMode::default())
-}
-
-/// [`node_scores_parallel`] with an explicit intersection kernel; every
-/// mode produces identical scores.
-pub fn node_scores_kernel(dag: &Dag, k: usize, par: ParConfig, mode: KernelMode) -> Vec<u64> {
-    let n = dag.num_nodes();
-    par_reduce(
-        par,
-        n,
-        || CountCtx::with_kernel(dag, k, mode),
-        || vec![0u64; n],
-        |ctx, scores, range| {
-            for u in range {
-                ctx.run_root(u as NodeId, Some(scores));
-            }
-        },
-        |merged, local| {
-            for (m, l) in merged.iter_mut().zip(local) {
-                *m += l;
-            }
-        },
-    )
-}
-
-/// Parallel [`count_kcliques`] on the [`dkc_par`] executor; per-worker
-/// totals are summed, so the count is thread-count invariant.
-pub fn count_kcliques_parallel(dag: &Dag, k: usize, par: ParConfig) -> u64 {
-    count_kcliques_kernel(dag, k, par, KernelMode::default())
-}
-
-/// [`count_kcliques_parallel`] with an explicit intersection kernel; every
-/// mode produces the identical count.
-pub fn count_kcliques_kernel(dag: &Dag, k: usize, par: ParConfig, mode: KernelMode) -> u64 {
-    par_reduce(
-        par,
-        dag.num_nodes(),
-        || CountCtx::with_kernel(dag, k, mode),
-        || 0u64,
-        |ctx, total, range| {
-            for u in range {
-                *total += ctx.run_root(u as NodeId, None);
-            }
-        },
-        |a, b| *a += b,
-    )
-}
 
 /// Reusable recursion state for counting, optionally accumulating per-node
 /// scores into a caller-provided array (kept outside the context so one
 /// context can serve as per-worker scratch while the accumulator lives in
 /// the executor's reduction slot). Holds both kernels' scratch;
 /// [`KernelMode`] picks per root.
-struct CountCtx<'a> {
+pub(crate) struct CountCtx<'a> {
     dag: &'a Dag,
     k: usize,
     mode: KernelMode,
@@ -88,7 +18,7 @@ struct CountCtx<'a> {
 }
 
 impl<'a> CountCtx<'a> {
-    fn with_kernel(dag: &'a Dag, k: usize, mode: KernelMode) -> Self {
+    pub(crate) fn new(dag: &'a Dag, k: usize, mode: KernelMode) -> Self {
         assert!(k >= 1, "k must be at least 1");
         CountCtx {
             dag,
@@ -103,7 +33,7 @@ impl<'a> CountCtx<'a> {
 
     /// Counts (and scores, when `scores` is given) the k-cliques rooted at
     /// `u`; returns the count.
-    fn run_root(&mut self, u: NodeId, mut scores: Option<&mut [u64]>) -> u64 {
+    pub(crate) fn run_root(&mut self, u: NodeId, mut scores: Option<&mut [u64]>) -> u64 {
         if self.k == 1 {
             if let Some(s) = scores.as_deref_mut() {
                 s[u as usize] += 1;
@@ -209,46 +139,23 @@ impl<'a> CountCtx<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::list::for_each_kclique;
-    use dkc_graph::{CsrGraph, NodeOrder, OrderingKind};
-
-    fn paper_graph() -> CsrGraph {
-        CsrGraph::from_edges(
-            9,
-            vec![
-                (0, 2),
-                (0, 5),
-                (2, 5),
-                (2, 4),
-                (4, 5),
-                (4, 7),
-                (5, 7),
-                (4, 6),
-                (6, 7),
-                (6, 8),
-                (7, 8),
-                (3, 6),
-                (3, 8),
-                (1, 3),
-                (1, 8),
-            ],
-        )
-        .unwrap()
-    }
+    use crate::list::tests::{dag_of, paper_graph};
+    use crate::{KernelMode, ListRequest};
+    use dkc_graph::{CsrGraph, Dag, OrderingKind};
+    use dkc_par::ParConfig;
 
     fn dag(g: &CsrGraph) -> Dag {
-        Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy))
+        dag_of(g, OrderingKind::Degeneracy)
     }
 
     #[test]
     fn counts_match_example1() {
         let g = paper_graph();
         let d = dag(&g);
-        assert_eq!(count_kcliques(&d, 3), 7);
-        assert_eq!(count_kcliques(&d, 1), 9);
-        assert_eq!(count_kcliques(&d, 2), 15);
-        assert_eq!(count_kcliques(&d, 4), 0); // no 4-clique in Fig. 2
+        assert_eq!(ListRequest::new(3).count(&d), 7);
+        assert_eq!(ListRequest::new(1).count(&d), 9);
+        assert_eq!(ListRequest::new(2).count(&d), 15);
+        assert_eq!(ListRequest::new(4).count(&d), 0); // no 4-clique in Fig. 2
     }
 
     #[test]
@@ -256,7 +163,7 @@ mod tests {
         // Example 3: s_n(v6) = s_n(v5) = s_n(v8) = 3.
         let g = paper_graph();
         let d = dag(&g);
-        let s = node_scores(&d, 3);
+        let s = ListRequest::new(3).scores(&d);
         assert_eq!(s[5], 3); // v6
         assert_eq!(s[4], 3); // v5
         assert_eq!(s[7], 3); // v8
@@ -269,12 +176,13 @@ mod tests {
         let g = paper_graph();
         let d = dag(&g);
         for k in 1..=4 {
-            let fast = node_scores(&d, k);
+            let fast = ListRequest::new(k).scores(&d);
             let mut slow = vec![0u64; 9];
-            for_each_kclique(&d, k, |nodes| {
+            ListRequest::new(k).with_kernel(KernelMode::Slice).visit(&d, |nodes| {
                 for &v in nodes {
                     slow[v as usize] += 1;
                 }
+                true
             });
             assert_eq!(fast, slow, "k={k}");
         }
@@ -293,8 +201,8 @@ mod tests {
         // C(8, k) cliques; every node participates in C(7, k-1).
         let binom = |n: u64, k: u64| -> u64 { (0..k).fold(1u64, |acc, i| acc * (n - i) / (i + 1)) };
         for k in 1..=8usize {
-            assert_eq!(count_kcliques(&d, k), binom(8, k as u64), "k={k}");
-            let s = node_scores(&d, k);
+            assert_eq!(ListRequest::new(k).count(&d), binom(8, k as u64), "k={k}");
+            let s = ListRequest::new(k).scores(&d);
             for (u, &score) in s.iter().enumerate() {
                 assert_eq!(score, binom(7, k as u64 - 1), "k={k} u={u}");
             }
@@ -305,13 +213,12 @@ mod tests {
     fn kernel_modes_agree_on_counts_and_scores() {
         let g = paper_graph();
         let d = dag(&g);
-        let par = ParConfig::sequential();
         for k in 1..=4 {
-            let base_count = count_kcliques_kernel(&d, k, par, KernelMode::Slice);
-            let base_scores = node_scores_kernel(&d, k, par, KernelMode::Slice);
+            let base = ListRequest::new(k).with_kernel(KernelMode::Slice);
             for mode in [KernelMode::Bitset, KernelMode::Adaptive] {
-                assert_eq!(count_kcliques_kernel(&d, k, par, mode), base_count, "k={k} {mode}");
-                assert_eq!(node_scores_kernel(&d, k, par, mode), base_scores, "k={k} {mode}");
+                let req = base.with_kernel(mode);
+                assert_eq!(req.count(&d), base.count(&d), "k={k} {mode}");
+                assert_eq!(req.scores(&d), base.scores(&d), "k={k} {mode}");
             }
         }
     }
@@ -330,16 +237,10 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let par = ParConfig::new(threads).with_chunk(16);
             for k in 3..=5 {
-                assert_eq!(
-                    count_kcliques_parallel(&d, k, par),
-                    count_kcliques(&d, k),
-                    "count k={k} threads={threads}"
-                );
-                assert_eq!(
-                    node_scores_parallel(&d, k, par),
-                    node_scores(&d, k),
-                    "scores k={k} threads={threads}"
-                );
+                let seq = ListRequest::new(k);
+                let req = seq.with_par(par);
+                assert_eq!(req.count(&d), seq.count(&d), "count k={k} threads={threads}");
+                assert_eq!(req.scores(&d), seq.scores(&d), "scores k={k} threads={threads}");
             }
         }
     }
@@ -348,12 +249,13 @@ mod tests {
     fn empty_and_tiny_graphs() {
         let g = CsrGraph::empty();
         let d = dag(&g);
-        assert_eq!(count_kcliques(&d, 3), 0);
-        assert!(node_scores(&d, 3).is_empty());
+        let triangles = ListRequest::new(3);
+        assert_eq!(triangles.count(&d), 0);
+        assert!(triangles.scores(&d).is_empty());
 
         let g = CsrGraph::from_edges(2, vec![(0, 1)]).unwrap();
         let d = dag(&g);
-        assert_eq!(count_kcliques(&d, 3), 0);
-        assert_eq!(node_scores(&d, 3), vec![0, 0]);
+        assert_eq!(triangles.count(&d), 0);
+        assert_eq!(triangles.scores(&d), vec![0, 0]);
     }
 }

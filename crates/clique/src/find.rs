@@ -304,36 +304,13 @@ impl<'a> MinScoreFinder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::node_scores;
-    use crate::list::for_each_kclique_rooted;
-    use dkc_graph::{CsrGraph, NodeOrder, OrderingKind};
-
-    fn paper_graph() -> CsrGraph {
-        CsrGraph::from_edges(
-            9,
-            vec![
-                (0, 2),
-                (0, 5),
-                (2, 5),
-                (2, 4),
-                (4, 5),
-                (4, 7),
-                (5, 7),
-                (4, 6),
-                (6, 7),
-                (6, 8),
-                (7, 8),
-                (3, 6),
-                (3, 8),
-                (1, 3),
-                (1, 8),
-            ],
-        )
-        .unwrap()
-    }
+    use crate::list::tests::{dag_of, paper_graph};
+    use crate::list::ListCtx;
+    use crate::ListRequest;
+    use dkc_graph::{CsrGraph, OrderingKind};
 
     fn dag(g: &CsrGraph) -> Dag {
-        Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Identity))
+        dag_of(g, OrderingKind::Identity)
     }
 
     #[test]
@@ -419,7 +396,7 @@ mod tests {
     fn min_finder_picks_minimum_score_clique() {
         let g = paper_graph();
         let d = dag(&g);
-        let scores = node_scores(&d, 3);
+        let scores = ListRequest::new(3).scores(&d);
         // Root v9 (id 8) has out-cliques {6,7,8} (C5), {3,6,8} (C6), {1,3,8} (C7).
         // Scores: v7=2 wait — verify through exhaustive listing instead.
         for prune in [false, true] {
@@ -428,13 +405,14 @@ mod tests {
             let got = f.find(8, &valid).expect("v9 roots cliques");
             // Exhaustive check.
             let mut best: Option<(u64, Vec<NodeId>)> = None;
-            for_each_kclique_rooted(&d, 8, 3, |nodes| {
+            ListCtx::new(&d, 3, KernelMode::default()).run_root(8, &mut |nodes| {
                 let s: u64 = nodes.iter().map(|&v| scores[v as usize]).sum();
                 if best.as_ref().is_none_or(|(bs, _)| s < *bs) {
                     let mut v = nodes.to_vec();
                     v.sort_unstable();
                     best = Some((s, v));
                 }
+                true
             });
             let (bs, bc) = best.unwrap();
             assert_eq!(got.score, bs, "prune={prune}");
@@ -446,7 +424,7 @@ mod tests {
     fn min_finder_kernels_agree_under_churned_validity() {
         let g = paper_graph();
         let d = dag(&g);
-        let scores = node_scores(&d, 3);
+        let scores = ListRequest::new(3).scores(&d);
         for prune in [false, true] {
             let mut slice = MinScoreFinder::with_kernel(&d, &scores, 3, prune, KernelMode::Slice);
             let mut dense = MinScoreFinder::with_kernel(&d, &scores, 3, prune, KernelMode::Bitset);
@@ -467,7 +445,7 @@ mod tests {
     fn pruned_and_exhaustive_agree_everywhere() {
         let g = paper_graph();
         let d = dag(&g);
-        let scores = node_scores(&d, 3);
+        let scores = ListRequest::new(3).scores(&d);
         let valid = vec![true; 9];
         let mut lp = MinScoreFinder::new(&d, &scores, 3, true);
         let mut l = MinScoreFinder::new(&d, &scores, 3, false);
@@ -480,7 +458,7 @@ mod tests {
     fn min_finder_score_includes_root() {
         let g = paper_graph();
         let d = dag(&g);
-        let scores = node_scores(&d, 3);
+        let scores = ListRequest::new(3).scores(&d);
         let mut f = MinScoreFinder::new(&d, &scores, 3, true);
         let valid = vec![true; 9];
         let got = f.find(5, &valid).unwrap();

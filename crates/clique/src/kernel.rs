@@ -24,9 +24,9 @@ use dkc_graph::{Dag, NodeId};
 
 /// Smallest out-degree for which [`KernelMode::Adaptive`] picks the bitset
 /// kernel: below this, the matrix build amortises over too few word-ANDs
-/// to beat plain merge scans. Measured on the FB stand-in (bench_listing),
-/// the crossover sits well below one word — the scatter build costs about
-/// as much as the first level of merge scans it replaces.
+/// to beat plain merge scans. Measured on the FB stand-in, the crossover
+/// sits well below one word — the scatter build costs about as much as the
+/// first level of merge scans it replaces.
 pub const DENSE_MIN_DEGREE: usize = 8;
 
 /// Largest out-degree for which [`KernelMode::Adaptive`] picks the bitset

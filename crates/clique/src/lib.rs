@@ -3,16 +3,19 @@
 //! Implements the kClist-style machinery (Danisch, Balalau, Sozio — WWW'18,
 //! the paper's reference \[13\]) that every solver in the workspace relies on:
 //!
-//! * [`for_each_kclique`] / [`collect_kcliques`] — enumerate every k-clique
-//!   of a DAG-oriented graph exactly once, rooted at its highest-ranked
-//!   member, in `O(k · m · (d/2)^(k-2))`.
-//! * [`count_kcliques`] / [`node_scores`] — count k-cliques globally and per
-//!   node *without materialising them* (Definition 5 of the paper: the node
-//!   score `s_n(u)` is the number of k-cliques containing `u`). Parallel
-//!   variants ([`count_kcliques_parallel`], [`node_scores_parallel`],
-//!   [`collect_kcliques_parallel`]) fan the root nodes out over the
-//!   deterministic `dkc-par` executor and are bit-identical to the
-//!   sequential passes for any thread count.
+//! * [`ListRequest`] — the one listing API. A `Copy` request holds `k`, a
+//!   [`dkc_par::ParConfig`] and a [`KernelMode`] (default: sequential,
+//!   adaptive kernel) and enumerates every k-clique of a DAG-oriented graph
+//!   exactly once, rooted at its highest-ranked member, in
+//!   `O(k · m · (d/2)^(k-2))`. Its four methods decide what happens to the
+//!   cliques: [`ListRequest::visit`] (callback with early stop),
+//!   [`ListRequest::collect`] (into a [`CliqueStore`], with an optional
+//!   limit that fails deterministically), [`ListRequest::count`] and
+//!   [`ListRequest::scores`] (per-node counts — the *node score* `s_n(u)` of
+//!   Definition 5 — without materialising any clique). Collection, counting
+//!   and scoring fan the roots out over the deterministic `dkc-par`
+//!   executor and are bit-identical to the sequential pass for any thread
+//!   count.
 //! * [`FirstFinder`] — the `FindOne` procedure of Algorithm 1: return the
 //!   first (k-1)-clique inside a root's out-neighbourhood, restricted to
 //!   still-valid nodes.
@@ -24,16 +27,14 @@
 //!   index of Section V (Algorithm 5).
 //! * [`Clique`] — an inline, allocation-free clique value type.
 //! * [`CliqueStore`] — a flat stride-`k` arena for clique *sets*: one
-//!   contiguous `Vec<u32>` instead of one allocation-heavy `Clique` per row,
-//!   with arena-backed collectors ([`collect_kcliques_store`],
-//!   [`collect_kcliques_store_parallel`], …) that are bit-identical to the
-//!   legacy `Vec<Clique>` collectors for every kernel mode and thread count.
+//!   contiguous `Vec<u32>` instead of one `Clique` per row.
 //! * [`KernelMode`] — per-root choice between the sorted-slice merge kernel
 //!   and a dense bit-matrix kernel (Rossi et al., "A Fast Parallel Maximum
-//!   Clique Algorithm for Large Sparse Graphs"). Every `*_kernel` variant
-//!   accepts a mode; the default [`KernelMode::Adaptive`] densifies roots
-//!   whose out-degree lands in `DENSE_MIN_DEGREE..=DENSE_MAX_DEGREE`, and
-//!   every mode emits bit-identical cliques in the identical order.
+//!   Clique Algorithm for Large Sparse Graphs"). The default
+//!   [`KernelMode::Adaptive`] densifies roots whose out-degree lands in
+//!   `DENSE_MIN_DEGREE..=DENSE_MAX_DEGREE`; every mode emits bit-identical
+//!   cliques in the identical order, so [`KernelMode::Slice`] serves as the
+//!   test oracle for the others.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,26 +43,14 @@ mod count;
 mod find;
 mod kernel;
 mod list;
+mod request;
 mod store;
 mod subset;
 mod types;
 
-pub use count::{
-    count_kcliques, count_kcliques_kernel, count_kcliques_parallel, node_scores,
-    node_scores_kernel, node_scores_parallel,
-};
 pub use find::{FirstFinder, MinScoreFinder, ScoredClique};
 pub use kernel::{KernelMode, DENSE_MAX_DEGREE, DENSE_MIN_DEGREE};
-pub use list::{
-    collect_kcliques, collect_kcliques_bounded, collect_kcliques_bounded_par,
-    collect_kcliques_budgeted, collect_kcliques_kernel, collect_kcliques_parallel,
-    collect_kcliques_parallel_kernel, for_each_kclique, for_each_kclique_kernel,
-    for_each_kclique_rooted, for_each_kclique_while,
-};
-pub use store::{
-    collect_kcliques_store, collect_kcliques_store_bounded, collect_kcliques_store_bounded_par,
-    collect_kcliques_store_budgeted, collect_kcliques_store_kernel,
-    collect_kcliques_store_parallel, collect_kcliques_store_parallel_kernel, CliqueStore,
-};
+pub use request::{collect_kcliques_store_parallel, node_scores_parallel, ListRequest};
+pub use store::CliqueStore;
 pub use subset::{collect_kcliques_in_subset, for_each_kclique_in_subset};
 pub use types::{Clique, MAX_K};

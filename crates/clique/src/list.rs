@@ -1,197 +1,8 @@
+//! The listing recursion behind [`crate::ListRequest`]'s visitor and
+//! collectors.
+
 use crate::kernel::{self, DenseIndex, KernelMode};
-use crate::types::Clique;
 use dkc_graph::{Dag, NodeId};
-use dkc_par::{par_for_each_root, par_try_collect, ParConfig, SharedBudget};
-
-/// Enumerates every k-clique of the DAG-oriented graph exactly once.
-///
-/// Each clique is reported as a slice whose first element is the clique's
-/// *root* — the member with the highest rank under the DAG's total order.
-/// The remaining members appear in recursion order. The slice is only valid
-/// for the duration of the callback.
-///
-/// `k = 1` reports every node, `k = 2` every edge; `k >= 3` is the paper's
-/// regime. The recursion intersects sorted candidate lists (or, for dense
-/// roots, word-ANDs the per-root bit matrix — see [`KernelMode`]), giving
-/// the `O(k · m · (d/2)^(k-2))` bound of reference \[13\] when the order is
-/// a degeneracy order.
-pub fn for_each_kclique<F>(dag: &Dag, k: usize, cb: F)
-where
-    F: FnMut(&[NodeId]),
-{
-    for_each_kclique_kernel(dag, k, KernelMode::default(), cb)
-}
-
-/// [`for_each_kclique`] with an explicit intersection kernel. Every mode
-/// reports the same cliques in the same order.
-pub fn for_each_kclique_kernel<F>(dag: &Dag, k: usize, mode: KernelMode, mut cb: F)
-where
-    F: FnMut(&[NodeId]),
-{
-    let mut ctx = ListCtx::with_kernel(dag, k, mode);
-    for u in 0..dag.num_nodes() as NodeId {
-        ctx.run_root(u, &mut |nodes| {
-            cb(nodes);
-            true
-        });
-    }
-}
-
-/// Like [`for_each_kclique`] but the callback returns `false` to stop the
-/// enumeration early — used by budgeted collectors so an over-limit clique
-/// population is detected without materialising (or even visiting) it all.
-pub fn for_each_kclique_while<F>(dag: &Dag, k: usize, mut cb: F)
-where
-    F: FnMut(&[NodeId]) -> bool,
-{
-    let mut ctx = ListCtx::new(dag, k);
-    for u in 0..dag.num_nodes() as NodeId {
-        if !ctx.run_root(u, &mut cb) {
-            return;
-        }
-    }
-}
-
-/// Enumerates only the k-cliques rooted at `root` (those in which `root` is
-/// the highest-ranked member).
-pub fn for_each_kclique_rooted<F>(dag: &Dag, root: NodeId, k: usize, mut cb: F)
-where
-    F: FnMut(&[NodeId]),
-{
-    let mut ctx = ListCtx::new(dag, k);
-    ctx.run_root(root, &mut |nodes| {
-        cb(nodes);
-        true
-    });
-}
-
-/// Collects all k-cliques into owned [`Clique`] values (the storage-heavy
-/// path used by Algorithm 2 / GC).
-pub fn collect_kcliques(dag: &Dag, k: usize) -> Vec<Clique> {
-    collect_kcliques_kernel(dag, k, KernelMode::default())
-}
-
-/// [`collect_kcliques`] with an explicit intersection kernel.
-pub fn collect_kcliques_kernel(dag: &Dag, k: usize, mode: KernelMode) -> Vec<Clique> {
-    let mut out = Vec::new();
-    for_each_kclique_kernel(dag, k, mode, |nodes| out.push(Clique::new(nodes)));
-    out
-}
-
-/// Parallel [`collect_kcliques`] on the [`dkc_par`] executor: roots fan out
-/// over workers (each with its own reusable `ListCtx` recursion scratch)
-/// and per-chunk clique segments are merged in ascending root order — the
-/// output `Vec` is **bit-identical** to the sequential collector for any
-/// thread count.
-pub fn collect_kcliques_parallel(dag: &Dag, k: usize, par: ParConfig) -> Vec<Clique> {
-    collect_kcliques_parallel_kernel(dag, k, par, KernelMode::default())
-}
-
-/// [`collect_kcliques_parallel`] with an explicit intersection kernel.
-pub fn collect_kcliques_parallel_kernel(
-    dag: &Dag,
-    k: usize,
-    par: ParConfig,
-    mode: KernelMode,
-) -> Vec<Clique> {
-    par_for_each_root(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, u, out| {
-            ctx.run_root(u as NodeId, &mut |nodes| {
-                out.push(Clique::new(nodes));
-                true
-            });
-        },
-    )
-}
-
-/// Budget-aware collection used by the GC solver and clique-graph
-/// construction: `Some(limit)` runs the shared-bound parallel bounded
-/// collector ([`collect_kcliques_bounded_par`]), `None` the unbounded
-/// parallel one. Both fan out over the executor with bit-identical output
-/// and (for `Some`) a deterministic `Err`/`Ok` decision.
-pub fn collect_kcliques_budgeted(
-    dag: &Dag,
-    k: usize,
-    max_cliques: Option<usize>,
-    par: ParConfig,
-) -> Result<Vec<Clique>, usize> {
-    match max_cliques {
-        Some(limit) => collect_kcliques_bounded_par(dag, k, limit, par, KernelMode::default()),
-        None => Ok(collect_kcliques_parallel(dag, k, par)),
-    }
-}
-
-/// Budgeted [`collect_kcliques`]: aborts with `Err(limit)` as soon as more
-/// than `limit` cliques exist, without materialising the excess — the
-/// mechanism behind the harness's deterministic "OOM" markers. Sequential
-/// reference implementation; [`collect_kcliques_bounded_par`] is the
-/// parallel equivalent.
-pub fn collect_kcliques_bounded(dag: &Dag, k: usize, limit: usize) -> Result<Vec<Clique>, usize> {
-    let mut out = Vec::new();
-    let mut overflow = false;
-    for_each_kclique_while(dag, k, |nodes| {
-        if out.len() >= limit {
-            overflow = true;
-            return false;
-        }
-        out.push(Clique::new(nodes));
-        true
-    });
-    if overflow {
-        Err(limit)
-    } else {
-        Ok(out)
-    }
-}
-
-/// Parallel [`collect_kcliques_bounded`] on the [`dkc_par`] executor with a
-/// [`SharedBudget`] as the cross-root pruning bound.
-///
-/// Every worker charges the shared bound once per clique it emits and
-/// abandons its root as soon as the bound is exhausted. This is lossless
-/// pruning in the sense of the executor's monotone-criterion contract: the
-/// total k-clique population is a property of the input alone, so either
-/// **every** schedule stays within budget (no worker ever observes
-/// exhaustion, the chunk-ordered output equals the sequential collector
-/// bit-for-bit) or **every** schedule eventually exceeds it (the run
-/// returns `Err(limit)` and all partial output is discarded — the skipped
-/// enumeration work could only have produced output that is already
-/// excluded). The `Err`/`Ok` decision therefore matches
-/// [`collect_kcliques_bounded`] for any thread count.
-pub fn collect_kcliques_bounded_par(
-    dag: &Dag,
-    k: usize,
-    limit: usize,
-    par: ParConfig,
-    mode: KernelMode,
-) -> Result<Vec<Clique>, usize> {
-    let budget = SharedBudget::new(limit);
-    par_try_collect(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, range, out| {
-            for u in range {
-                let mut over = false;
-                ctx.run_root(u as NodeId, &mut |nodes| {
-                    if !budget.charge(1) {
-                        over = true;
-                        return false;
-                    }
-                    out.push(Clique::new(nodes));
-                    true
-                });
-                if over {
-                    return Err(limit);
-                }
-            }
-            Ok(())
-        },
-    )
-}
 
 /// Reusable recursion state: one candidate buffer per depth plus the member
 /// stack, so enumeration performs no per-clique allocation. Holds both
@@ -209,11 +20,7 @@ pub(crate) struct ListCtx<'a> {
 }
 
 impl<'a> ListCtx<'a> {
-    fn new(dag: &'a Dag, k: usize) -> Self {
-        Self::with_kernel(dag, k, KernelMode::default())
-    }
-
-    pub(crate) fn with_kernel(dag: &'a Dag, k: usize, mode: KernelMode) -> Self {
+    pub(crate) fn new(dag: &'a Dag, k: usize, mode: KernelMode) -> Self {
         assert!(k >= 1, "k must be at least 1");
         ListCtx {
             dag,
@@ -365,7 +172,9 @@ pub(crate) fn intersect_sorted(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::ListRequest;
     use dkc_graph::{CsrGraph, NodeOrder, OrderingKind};
+    use dkc_par::ParConfig;
     use std::collections::BTreeSet;
 
     /// Fig. 2 graph of the paper (v1..v9 → 0..8), with seven 3-cliques.
@@ -399,12 +208,30 @@ pub(crate) mod tests {
 
     fn clique_set(dag: &Dag, k: usize) -> BTreeSet<Vec<NodeId>> {
         let mut out = BTreeSet::new();
-        for_each_kclique(dag, k, |nodes| {
+        ListRequest::new(k).visit(dag, |nodes| {
             let mut v = nodes.to_vec();
             v.sort_unstable();
             assert!(out.insert(v), "clique reported twice: {nodes:?}");
+            true
         });
         out
+    }
+
+    /// Every clique the visitor reports, in visit order, as emitted.
+    pub(crate) fn visited(dag: &Dag, k: usize, mode: KernelMode) -> Vec<Vec<NodeId>> {
+        let mut out = Vec::new();
+        ListRequest::new(k).with_kernel(mode).visit(dag, |c| {
+            out.push(c.to_vec());
+            true
+        });
+        out
+    }
+
+    /// [`visited`] with each clique sorted: the rows a collection must hold.
+    pub(crate) fn visited_rows(dag: &Dag, k: usize) -> Vec<NodeId> {
+        let mut rows = visited(dag, k, KernelMode::Slice);
+        rows.iter_mut().for_each(|c| c.sort_unstable());
+        rows.concat()
     }
 
     #[test]
@@ -440,12 +267,9 @@ pub(crate) mod tests {
         for kind in [OrderingKind::Identity, OrderingKind::Degeneracy] {
             let dag = dag_of(&g, kind);
             for k in 1..=4 {
-                let mut baseline = Vec::new();
-                for_each_kclique_kernel(&dag, k, KernelMode::Slice, |c| baseline.push(c.to_vec()));
+                let baseline = visited(&dag, k, KernelMode::Slice);
                 for mode in [KernelMode::Bitset, KernelMode::Adaptive] {
-                    let mut got = Vec::new();
-                    for_each_kclique_kernel(&dag, k, mode, |c| got.push(c.to_vec()));
-                    assert_eq!(got, baseline, "{kind:?} k={k} {mode}");
+                    assert_eq!(visited(&dag, k, mode), baseline, "{kind:?} k={k} {mode}");
                 }
             }
         }
@@ -463,11 +287,12 @@ pub(crate) mod tests {
     fn root_is_highest_ranked_member() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
-        for_each_kclique(&dag, 3, |nodes| {
+        ListRequest::new(3).visit(&dag, |nodes| {
             let root = nodes[0];
             for &v in &nodes[1..] {
                 assert!(dag.rank(v) < dag.rank(root));
             }
+            true
         });
     }
 
@@ -475,9 +300,13 @@ pub(crate) mod tests {
     fn rooted_enumeration_partitions_the_clique_set() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Identity);
+        let mut ctx = ListCtx::new(&dag, 3, KernelMode::default());
         let mut total = 0usize;
         for u in 0..9 {
-            for_each_kclique_rooted(&dag, u, 3, |_| total += 1);
+            ctx.run_root(u, &mut |_| {
+                total += 1;
+                true
+            });
         }
         assert_eq!(total, 7);
     }
@@ -511,11 +340,9 @@ pub(crate) mod tests {
         let g = CsrGraph::from_edges(6, edges).unwrap();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
         for k in 3..=7 {
-            assert_eq!(
-                collect_kcliques_kernel(&dag, k, KernelMode::Bitset),
-                collect_kcliques_kernel(&dag, k, KernelMode::Slice),
-                "k={k}"
-            );
+            let bitset = ListRequest::new(k).with_kernel(KernelMode::Bitset);
+            let store = bitset.collect(&dag, None).unwrap();
+            assert_eq!(store.as_flat(), visited_rows(&dag, k), "k={k}");
         }
     }
 
@@ -531,9 +358,10 @@ pub(crate) mod tests {
     fn collect_matches_for_each() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Identity);
-        let collected = collect_kcliques(&dag, 3);
+        let collected = ListRequest::new(3).collect(&dag, None).unwrap();
         assert_eq!(collected.len(), 7);
-        let set: BTreeSet<Vec<NodeId>> = collected.iter().map(|c| c.as_slice().to_vec()).collect();
+        assert_eq!(collected.as_flat(), visited_rows(&dag, 3));
+        let set: BTreeSet<Vec<NodeId>> = collected.iter().map(<[NodeId]>::to_vec).collect();
         assert_eq!(set, clique_set(&dag, 3));
     }
 
@@ -541,28 +369,34 @@ pub(crate) mod tests {
     fn bounded_collection_respects_the_budget() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
+        let triangles = ListRequest::new(3);
         // Exactly at the limit succeeds.
-        let ok = collect_kcliques_bounded(&dag, 3, 7).unwrap();
+        let ok = triangles.collect(&dag, Some(7)).unwrap();
         assert_eq!(ok.len(), 7);
         // Below the limit aborts without materialising everything.
-        assert_eq!(collect_kcliques_bounded(&dag, 3, 6), Err(6));
-        assert_eq!(collect_kcliques_bounded(&dag, 3, 0), Err(0));
+        assert_eq!(triangles.collect(&dag, Some(6)), Err(6));
+        assert_eq!(triangles.collect(&dag, Some(0)), Err(0));
         // Generous limit behaves like the unbounded collector.
-        let all = collect_kcliques_bounded(&dag, 3, 1_000).unwrap();
-        assert_eq!(all.len(), collect_kcliques(&dag, 3).len());
+        let all = triangles.collect(&dag, Some(1_000));
+        assert_eq!(all, triangles.collect(&dag, None));
     }
 
     #[test]
     fn bounded_parallel_matches_sequential_decisions_and_output() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
+        let seq = ListRequest::new(3).with_kernel(KernelMode::Slice);
         for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
             for threads in [1usize, 2, 8] {
-                let par = ParConfig::new(threads).with_chunk(1);
+                let par = ListRequest::new(3)
+                    .with_par(ParConfig::new(threads).with_chunk(1))
+                    .with_kernel(mode);
                 for limit in [0usize, 3, 6, 7, 1000] {
-                    let seq = collect_kcliques_bounded(&dag, 3, limit);
-                    let par_res = collect_kcliques_bounded_par(&dag, 3, limit, par, mode);
-                    assert_eq!(par_res, seq, "threads={threads} limit={limit} {mode}");
+                    assert_eq!(
+                        par.collect(&dag, Some(limit)),
+                        seq.collect(&dag, Some(limit)),
+                        "threads={threads} limit={limit} {mode}"
+                    );
                 }
             }
         }
@@ -573,11 +407,13 @@ pub(crate) mod tests {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Identity);
         let mut seen = 0;
-        for_each_kclique_while(&dag, 3, |_| {
+        let completed = ListRequest::new(3).visit(&dag, |_| {
             seen += 1;
             seen < 3
         });
         assert_eq!(seen, 3, "stopped after the third clique");
+        assert!(!completed);
+        assert!(ListRequest::new(3).visit(&dag, |_| true));
     }
 
     #[test]

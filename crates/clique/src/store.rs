@@ -6,24 +6,18 @@
 //! arena costs `4k` bytes per clique — 6× smaller at `k = 3` — and iterating
 //! it walks one contiguous allocation instead of striding over padding.
 //!
-//! The store preserves the canonical order of whatever produced it, so the
-//! arena-backed collectors in this module are **bit-identical** to the legacy
-//! `Vec<Clique>` collectors in [`crate::list`] for every kernel mode and
-//! thread count (property-tested in `tests/proptest_clique_store.rs`).
+//! The store preserves the order of whatever produced it, so a store filled
+//! by [`crate::ListRequest::collect`] holds the cliques in enumeration order
+//! for every kernel mode and thread count.
 
-use crate::kernel::KernelMode;
-use crate::list::{for_each_kclique_kernel, for_each_kclique_while};
 use crate::types::{Clique, MAX_K};
-use dkc_graph::{Dag, NodeId};
-use dkc_par::{par_for_each_root, par_try_collect, ParConfig, SharedBudget};
-
-use crate::list::ListCtx;
+use dkc_graph::NodeId;
 
 /// A flat arena of k-cliques: one `Vec<NodeId>` with stride `k`.
 ///
 /// Rows are sorted ascending and duplicate-free (the [`Clique`] invariant);
-/// row order is whatever the producer pushed, so stores built by the
-/// enumeration collectors carry the canonical enumeration order.
+/// row order is whatever the producer pushed, so stores built by
+/// [`crate::ListRequest::collect`] carry the enumeration order.
 ///
 /// ```
 /// use dkc_clique::CliqueStore;
@@ -78,7 +72,7 @@ impl CliqueStore {
         CliqueStore { k, data }
     }
 
-    /// Copies a legacy `Vec<Clique>`-style slice into an arena.
+    /// Copies a `Vec<Clique>`-style slice into an arena.
     ///
     /// # Panics
     /// Panics when any clique's length differs from `k`.
@@ -167,7 +161,7 @@ impl CliqueStore {
         &self.data
     }
 
-    /// Materialises the legacy representation.
+    /// Materialises the boxed `Vec<Clique>` representation.
     pub fn to_cliques(&self) -> Vec<Clique> {
         self.iter_cliques().collect()
     }
@@ -226,140 +220,13 @@ impl<'a> IntoIterator for &'a CliqueStore {
     }
 }
 
-/// Appends one clique (root-first recursion order) to a flat arena tail and
-/// sorts it in place — the zero-allocation emission step shared by every
-/// arena collector.
-#[inline]
-fn emit_flat(out: &mut Vec<NodeId>, nodes: &[NodeId]) {
-    let start = out.len();
-    out.extend_from_slice(nodes);
-    out[start..].sort_unstable();
-}
-
-/// Arena-backed [`crate::collect_kcliques`]: identical clique sequence, flat
-/// storage, zero per-clique allocations.
-pub fn collect_kcliques_store(dag: &Dag, k: usize) -> CliqueStore {
-    collect_kcliques_store_kernel(dag, k, KernelMode::default())
-}
-
-/// [`collect_kcliques_store`] with an explicit intersection kernel.
-pub fn collect_kcliques_store_kernel(dag: &Dag, k: usize, mode: KernelMode) -> CliqueStore {
-    let mut data = Vec::new();
-    for_each_kclique_kernel(dag, k, mode, |nodes| emit_flat(&mut data, nodes));
-    CliqueStore::from_flat(k, data)
-}
-
-/// Arena-backed [`crate::collect_kcliques_parallel`]: each worker emits
-/// `k` sorted ids per clique into its chunk segment, and the executor
-/// concatenates segments in ascending chunk order — since every clique
-/// contributes exactly `k` elements, the concatenation of flat segments *is*
-/// the sequential arena, bit for bit, for any thread count.
-pub fn collect_kcliques_store_parallel(dag: &Dag, k: usize, par: ParConfig) -> CliqueStore {
-    collect_kcliques_store_parallel_kernel(dag, k, par, KernelMode::default())
-}
-
-/// [`collect_kcliques_store_parallel`] with an explicit intersection kernel.
-pub fn collect_kcliques_store_parallel_kernel(
-    dag: &Dag,
-    k: usize,
-    par: ParConfig,
-    mode: KernelMode,
-) -> CliqueStore {
-    let data = par_for_each_root(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, u, out: &mut Vec<NodeId>| {
-            ctx.run_root(u as NodeId, &mut |nodes| {
-                emit_flat(out, nodes);
-                true
-            });
-        },
-    );
-    CliqueStore::from_flat(k, data)
-}
-
-/// Arena-backed [`crate::collect_kcliques_bounded`] (sequential reference).
-pub fn collect_kcliques_store_bounded(
-    dag: &Dag,
-    k: usize,
-    limit: usize,
-) -> Result<CliqueStore, usize> {
-    let mut data = Vec::new();
-    let mut overflow = false;
-    for_each_kclique_while(dag, k, |nodes| {
-        if data.len() >= limit * k {
-            overflow = true;
-            return false;
-        }
-        emit_flat(&mut data, nodes);
-        true
-    });
-    if overflow {
-        Err(limit)
-    } else {
-        Ok(CliqueStore::from_flat(k, data))
-    }
-}
-
-/// Arena-backed [`crate::collect_kcliques_bounded_par`]: the same
-/// [`SharedBudget`] lossless-pruning contract (deterministic `Err`/`Ok`,
-/// chunk-ordered output equal to the sequential arena) over flat segments.
-pub fn collect_kcliques_store_bounded_par(
-    dag: &Dag,
-    k: usize,
-    limit: usize,
-    par: ParConfig,
-    mode: KernelMode,
-) -> Result<CliqueStore, usize> {
-    let budget = SharedBudget::new(limit);
-    let data = par_try_collect(
-        par,
-        dag.num_nodes(),
-        || ListCtx::with_kernel(dag, k, mode),
-        |ctx, range, out: &mut Vec<NodeId>| {
-            for u in range {
-                let mut over = false;
-                ctx.run_root(u as NodeId, &mut |nodes| {
-                    if !budget.charge(1) {
-                        over = true;
-                        return false;
-                    }
-                    emit_flat(out, nodes);
-                    true
-                });
-                if over {
-                    return Err(limit);
-                }
-            }
-            Ok(())
-        },
-    )?;
-    Ok(CliqueStore::from_flat(k, data))
-}
-
-/// Arena-backed [`crate::collect_kcliques_budgeted`]: `Some(limit)` runs the
-/// shared-bound bounded collector, `None` the unbounded parallel one.
-pub fn collect_kcliques_store_budgeted(
-    dag: &Dag,
-    k: usize,
-    max_cliques: Option<usize>,
-    par: ParConfig,
-) -> Result<CliqueStore, usize> {
-    match max_cliques {
-        Some(limit) => {
-            collect_kcliques_store_bounded_par(dag, k, limit, par, KernelMode::default())
-        }
-        None => Ok(collect_kcliques_store_parallel(dag, k, par)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list::tests::{dag_of, paper_graph};
-    use crate::list::{collect_kcliques, collect_kcliques_bounded, collect_kcliques_parallel};
+    use crate::list::tests::{dag_of, paper_graph, visited_rows};
+    use crate::{KernelMode, ListRequest};
     use dkc_graph::OrderingKind;
+    use dkc_par::ParConfig;
 
     #[test]
     fn push_get_iter_roundtrip() {
@@ -424,19 +291,22 @@ mod tests {
 
     #[test]
     fn store_collectors_match_legacy_sequence() {
+        // The collected arena is the visitor's clique sequence, row for
+        // row, for every kernel mode and thread count.
         let g = paper_graph();
         for kind in [OrderingKind::Identity, OrderingKind::Degeneracy] {
             let dag = dag_of(&g, kind);
             for k in 1..=4 {
-                let legacy = collect_kcliques(&dag, k);
-                assert_eq!(collect_kcliques_store(&dag, k).to_cliques(), legacy, "{kind:?} k={k}");
-                for threads in [1usize, 2, 8] {
-                    let par = ParConfig::new(threads).with_chunk(1);
-                    assert_eq!(
-                        collect_kcliques_store_parallel(&dag, k, par).to_cliques(),
-                        collect_kcliques_parallel(&dag, k, par),
-                        "{kind:?} k={k} threads={threads}"
-                    );
+                let expected = visited_rows(&dag, k);
+                for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
+                    for threads in [1usize, 2, 8] {
+                        let req = ListRequest::new(k)
+                            .with_par(ParConfig::new(threads).with_chunk(1))
+                            .with_kernel(mode);
+                        let store = req.collect(&dag, None).unwrap();
+                        assert_eq!(store.k(), k);
+                        assert_eq!(store.as_flat(), expected, "{kind:?} k={k} {mode} t={threads}");
+                    }
                 }
             }
         }
@@ -444,17 +314,16 @@ mod tests {
 
     #[test]
     fn bounded_store_matches_legacy_decisions() {
+        // A limit below the clique count fails with exactly that limit; at
+        // or above it, the bounded arena equals the unbounded one.
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
+        let all = ListRequest::new(3).collect(&dag, None).unwrap();
         for limit in [0usize, 3, 6, 7, 1000] {
-            let legacy = collect_kcliques_bounded(&dag, 3, limit);
-            let store = collect_kcliques_store_bounded(&dag, 3, limit);
-            assert_eq!(store.clone().map(|s| s.to_cliques()), legacy, "limit={limit}");
+            let expected = if limit < all.len() { Err(limit) } else { Ok(all.clone()) };
             for threads in [1usize, 2, 8] {
-                let par = ParConfig::new(threads).with_chunk(1);
-                let par_store =
-                    collect_kcliques_store_bounded_par(&dag, 3, limit, par, KernelMode::default());
-                assert_eq!(par_store, store, "limit={limit} threads={threads}");
+                let req = ListRequest::new(3).with_par(ParConfig::new(threads).with_chunk(1));
+                assert_eq!(req.collect(&dag, Some(limit)), expected, "limit={limit} t={threads}");
             }
         }
     }
@@ -463,9 +332,9 @@ mod tests {
     fn budgeted_store_dispatches_like_legacy() {
         let g = paper_graph();
         let dag = dag_of(&g, OrderingKind::Degeneracy);
-        let par = ParConfig::new(2);
-        assert_eq!(collect_kcliques_store_budgeted(&dag, 3, None, par).unwrap().len(), 7);
-        assert_eq!(collect_kcliques_store_budgeted(&dag, 3, Some(6), par), Err(6));
-        assert_eq!(collect_kcliques_store_budgeted(&dag, 3, Some(7), par).unwrap().len(), 7);
+        let req = ListRequest::new(3).with_par(ParConfig::new(2));
+        assert_eq!(req.collect(&dag, None).unwrap().len(), 7);
+        assert_eq!(req.collect(&dag, Some(6)), Err(6));
+        assert_eq!(req.collect(&dag, Some(7)).unwrap().len(), 7);
     }
 }

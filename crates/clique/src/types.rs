@@ -100,8 +100,8 @@ impl Clique {
     }
 
     /// Clique score `s_c(C) = Σ_{u ∈ C} s_n(u)` (Definition 6).
-    pub fn score(&self, node_scores: &[u64]) -> u64 {
-        self.iter().map(|u| node_scores[u as usize]).sum()
+    pub fn score(&self, scores: &[u64]) -> u64 {
+        self.iter().map(|u| scores[u as usize]).sum()
     }
 }
 

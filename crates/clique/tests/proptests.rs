@@ -1,14 +1,12 @@
 //! Property-based tests: the optimised listing/counting/search machinery is
-//! compared against brute-force references on small random graphs.
+//! compared against brute-force references on small random graphs, and
+//! every [`ListRequest`] shape (kernel mode × thread count) against the
+//! sequential [`KernelMode::Slice`] visitor.
 
 use std::collections::BTreeSet;
 
 use dkc_clique::{
-    collect_kcliques, collect_kcliques_bounded, collect_kcliques_bounded_par,
-    collect_kcliques_in_subset, collect_kcliques_kernel, collect_kcliques_parallel,
-    collect_kcliques_parallel_kernel, count_kcliques, count_kcliques_kernel,
-    count_kcliques_parallel, node_scores, node_scores_kernel, node_scores_parallel, Clique,
-    FirstFinder, KernelMode, MinScoreFinder,
+    collect_kcliques_in_subset, Clique, FirstFinder, KernelMode, ListRequest, MinScoreFinder,
 };
 use dkc_graph::{CsrGraph, Dag, DynGraph, NodeId, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
@@ -55,6 +53,74 @@ fn dag(g: &CsrGraph, kind: OrderingKind) -> Dag {
     Dag::from_graph(g, NodeOrder::compute(g, kind))
 }
 
+const MODES: [KernelMode; 3] = [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive];
+
+/// What every request must reproduce, taken from the sequential slice
+/// visitor: the collected rows (visit order, each row sorted, flattened),
+/// the clique count and the per-node scores.
+struct Oracle {
+    rows: Vec<NodeId>,
+    count: u64,
+    scores: Vec<u64>,
+}
+
+fn slice_visitor_oracle(d: &Dag, k: usize) -> Oracle {
+    let mut oracle = Oracle { rows: Vec::new(), count: 0, scores: vec![0; d.num_nodes()] };
+    ListRequest::new(k).with_kernel(KernelMode::Slice).visit(d, |nodes| {
+        let mut row = nodes.to_vec();
+        row.sort_unstable();
+        for &u in &row {
+            oracle.scores[u as usize] += 1;
+        }
+        oracle.rows.extend(row);
+        oracle.count += 1;
+        true
+    });
+    oracle
+}
+
+/// Checks one request shape against the oracle: unbounded and bounded
+/// collection (each limit fails iff it is below the clique count), count
+/// and scores.
+fn check_request(
+    req: ListRequest,
+    d: &Dag,
+    oracle: &Oracle,
+    limits: &[usize],
+) -> Result<(), TestCaseError> {
+    let shape = format!("{} threads {} chunk {}", req.mode, req.par.threads, req.par.chunk);
+    let all = req.collect(d, None).unwrap();
+    prop_assert_eq!(all.as_flat(), &oracle.rows[..], "collect, {}", shape);
+    for &limit in limits {
+        match req.collect(d, Some(limit)) {
+            Ok(store) => {
+                prop_assert!(limit as u64 >= oracle.count, "limit {} passed, {}", limit, shape);
+                prop_assert_eq!(&store, &all, "collect limit {}, {}", limit, shape);
+            }
+            Err(e) => {
+                prop_assert!((limit as u64) < oracle.count, "limit {} failed, {}", limit, shape);
+                prop_assert_eq!(e, limit, "collect error value, {}", shape);
+            }
+        }
+    }
+    prop_assert_eq!(req.count(d), oracle.count, "count, {}", shape);
+    prop_assert_eq!(&req.scores(d), &oracle.scores, "scores, {}", shape);
+    Ok(())
+}
+
+/// Every kernel mode × threads {1, 2, 8} at chunk 1 (the most interleaving
+/// the executor allows) through [`check_request`].
+fn check_every_shape(d: &Dag, k: usize, limits: &[usize]) -> Result<(), TestCaseError> {
+    let oracle = slice_visitor_oracle(d, k);
+    for mode in MODES {
+        for threads in [1usize, 2, 8] {
+            let par = ParConfig::new(threads).with_chunk(1);
+            check_request(ListRequest::new(k).with_par(par).with_kernel(mode), d, &oracle, limits)?;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,20 +129,21 @@ proptest! {
         let expected = brute_force_cliques(&g, k);
         for kind in [OrderingKind::Identity, OrderingKind::Degeneracy, OrderingKind::DegreeAsc] {
             let d = dag(&g, kind);
-            let got: BTreeSet<Vec<NodeId>> = collect_kcliques(&d, k)
-                .iter()
-                .map(|c| c.as_slice().to_vec())
-                .collect();
+            let req = ListRequest::new(k);
+            let got: BTreeSet<Vec<NodeId>> =
+                req.collect(&d, None).unwrap().iter().map(<[NodeId]>::to_vec).collect();
             prop_assert_eq!(&got, &expected, "ordering {:?}", kind);
-            prop_assert_eq!(count_kcliques(&d, k), expected.len() as u64);
+            prop_assert_eq!(req.count(&d), expected.len() as u64);
+            prop_assert_eq!(slice_visitor_oracle(&d, k).count, expected.len() as u64);
         }
     }
 
     #[test]
     fn node_scores_sum_to_k_times_count(g in graph_strategy(14, 70), k in 3usize..=5) {
         let d = dag(&g, OrderingKind::Degeneracy);
-        let scores = node_scores(&d, k);
-        let total = count_kcliques(&d, k);
+        let req = ListRequest::new(k);
+        let scores = req.scores(&d);
+        let total = req.count(&d);
         prop_assert_eq!(scores.iter().sum::<u64>(), k as u64 * total);
         // Per-node cross-check against brute force.
         let cliques = brute_force_cliques(&g, k);
@@ -137,7 +204,7 @@ proptest! {
         k in 3usize..=4,
     ) {
         let d = dag(&g, OrderingKind::Degeneracy);
-        let scores = node_scores(&d, k);
+        let scores = ListRequest::new(k).scores(&d);
         let valid = vec![true; g.num_nodes()];
         let mut pruned = MinScoreFinder::new(&d, &scores, k, true);
         let mut exhaustive = MinScoreFinder::new(&d, &scores, k, false);
@@ -163,20 +230,14 @@ proptest! {
         g in graph_strategy(40, 250),
         k in 3usize..=5,
     ) {
+        // Larger graphs than the per-shape suite below, on the default
+        // kernel: collect, count and scores are thread-count invariant.
         let d = dag(&g, OrderingKind::Degeneracy);
-        let count = count_kcliques(&d, k);
-        let scores = node_scores(&d, k);
-        let listed = collect_kcliques(&d, k);
+        let oracle = slice_visitor_oracle(&d, k);
         for threads in [1usize, 2, 8] {
             // Tiny chunks force genuine fan-out on these small graphs.
             let par = ParConfig::new(threads).with_chunk(3);
-            prop_assert_eq!(
-                count_kcliques_parallel(&d, k, par), count, "count, threads {}", threads);
-            prop_assert_eq!(
-                &node_scores_parallel(&d, k, par), &scores, "scores, threads {}", threads);
-            // Listing must match element-for-element (order included).
-            prop_assert_eq!(
-                &collect_kcliques_parallel(&d, k, par), &listed, "listing, threads {}", threads);
+            check_request(ListRequest::new(k).with_par(par), &d, &oracle, &[])?;
         }
     }
 
@@ -185,30 +246,17 @@ proptest! {
         g in graph_strategy(24, 140),
         k in 3usize..=5,
     ) {
-        // The slice kernel is the reference; the forced-dense and adaptive
-        // kernels must reproduce its cliques *in order*, its count and its
-        // per-node scores — sequentially and on every executor shape.
+        // The sequential slice visitor is the reference; every kernel mode
+        // on every executor shape must reproduce its cliques *in order*,
+        // with and without a limit, its count and its per-node scores. The
+        // reference itself is pinned to brute force.
         let d = dag(&g, OrderingKind::Degeneracy);
-        let listed = collect_kcliques_kernel(&d, k, KernelMode::Slice);
-        let count = count_kcliques(&d, k);
-        let scores = node_scores(&d, k);
-        prop_assert_eq!(count, listed.len() as u64);
-        for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
-            prop_assert_eq!(
-                &collect_kcliques_kernel(&d, k, mode), &listed, "sequential {}", mode);
-            for threads in [1usize, 2, 8] {
-                let par = ParConfig::new(threads).with_chunk(3);
-                prop_assert_eq!(
-                    &collect_kcliques_parallel_kernel(&d, k, par, mode), &listed,
-                    "listing, threads {} {}", threads, mode);
-                prop_assert_eq!(
-                    count_kcliques_kernel(&d, k, par, mode), count,
-                    "count, threads {} {}", threads, mode);
-                prop_assert_eq!(
-                    &node_scores_kernel(&d, k, par, mode), &scores,
-                    "scores, threads {} {}", threads, mode);
-            }
-        }
+        let oracle = slice_visitor_oracle(&d, k);
+        let mut rows: Vec<Vec<NodeId>> = oracle.rows.chunks(k).map(<[NodeId]>::to_vec).collect();
+        rows.sort();
+        let expected: Vec<Vec<NodeId>> = brute_force_cliques(&g, k).into_iter().collect();
+        prop_assert_eq!(rows, expected);
+        check_every_shape(&d, k, &[0, 3, 6, 7, 1000])?;
     }
 
     #[test]
@@ -217,21 +265,13 @@ proptest! {
         k in 3usize..=4,
         limit in 0usize..=40,
     ) {
-        // The shared-budget parallel collector must reach the sequential
-        // collector's exact Err/Ok decision (and, on Ok, its exact output)
-        // for every kernel and thread count — the monotone-criterion
-        // determinism argument, exercised on random graphs.
+        // The shared-budget collector must reach the exact Err/Ok decision
+        // (and, on Ok, the exact output) for every kernel and thread count
+        // — the monotone-criterion determinism argument, exercised on
+        // random graphs, at a random limit and at the clique count's edge.
         let d = dag(&g, OrderingKind::Degeneracy);
-        let seq = collect_kcliques_bounded(&d, k, limit);
-        for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
-            for threads in [1usize, 2, 8] {
-                // Chunk 1 maximises interleaving opportunities.
-                let par = ParConfig::new(threads).with_chunk(1);
-                prop_assert_eq!(
-                    &collect_kcliques_bounded_par(&d, k, limit, par, mode), &seq,
-                    "threads {} limit {} {}", threads, limit, mode);
-            }
-        }
+        let count = ListRequest::new(k).count(&d) as usize;
+        check_every_shape(&d, k, &[limit, count.saturating_sub(1), count, count + 1])?;
     }
 
     #[test]

@@ -26,10 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dkc_clique::{
-    collect_kcliques_store_bounded_par, collect_kcliques_store_parallel_kernel, Clique,
-    CliqueStore, KernelMode,
-};
+use dkc_clique::{Clique, CliqueStore, ListRequest};
 use dkc_graph::{CsrGraph, Dag, NodeOrder, OrderingKind};
 use dkc_par::{par_try_collect, ParConfig, SharedBudget};
 
@@ -113,55 +110,14 @@ impl CliqueGraph {
         limits: CliqueGraphLimits,
         par: ParConfig,
     ) -> Result<Self, CliqueGraphError> {
-        Self::build_par_kernel(g, k, limits, par, KernelMode::default())
-    }
-
-    /// [`CliqueGraph::build_par`] with an explicit intersection kernel for
-    /// the clique listing phase; every mode materialises the identical
-    /// graph (and the identical `Err` on budget trips).
-    pub fn build_par_kernel(
-        g: &CsrGraph,
-        k: usize,
-        limits: CliqueGraphLimits,
-        par: ParConfig,
-        mode: KernelMode,
-    ) -> Result<Self, CliqueGraphError> {
         let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
         // Enforce the clique budget during collection so an over-limit
         // population aborts before materialising (deterministic OOM).
-        let cliques = match limits.max_cliques {
-            Some(limit) => collect_kcliques_store_bounded_par(&dag, k, limit, par, mode)
-                .map_err(|limit| CliqueGraphError::TooManyCliques { limit })?,
-            None => collect_kcliques_store_parallel_kernel(&dag, k, par, mode),
-        };
+        let cliques = ListRequest::new(k)
+            .with_par(par)
+            .collect(&dag, limits.max_cliques)
+            .map_err(|limit| CliqueGraphError::TooManyCliques { limit })?;
         Self::from_store_par(g.num_nodes(), cliques, limits, par)
-    }
-
-    /// Builds the conflict graph from an explicit legacy clique list
-    /// (compatibility shim over [`CliqueGraph::from_store_par`]), with the
-    /// default executor configuration.
-    pub fn from_cliques(
-        num_nodes: usize,
-        k: usize,
-        cliques: Vec<Clique>,
-        limits: CliqueGraphLimits,
-    ) -> Result<Self, CliqueGraphError> {
-        Self::from_store_par(
-            num_nodes,
-            CliqueStore::from_cliques(k, &cliques),
-            limits,
-            ParConfig::default(),
-        )
-    }
-
-    /// Builds the conflict graph from a clique arena with the default
-    /// executor configuration. See [`CliqueGraph::from_store_par`].
-    pub fn from_store(
-        num_nodes: usize,
-        cliques: CliqueStore,
-        limits: CliqueGraphLimits,
-    ) -> Result<Self, CliqueGraphError> {
-        Self::from_store_par(num_nodes, cliques, limits, ParConfig::default())
     }
 
     /// Builds the conflict graph from a clique arena on an explicit
@@ -322,6 +278,7 @@ impl CliqueGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dkc_clique::KernelMode;
     use dkc_graph::NodeId;
 
     /// Fig. 2 graph (v1..v9 → 0..8).
@@ -464,27 +421,26 @@ mod tests {
     fn kernel_modes_build_identical_graphs_and_budget_decisions() {
         let g = paper_graph();
         let base = CliqueGraph::build(&g, 3, CliqueGraphLimits::unlimited()).unwrap();
+        let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
         for mode in [KernelMode::Slice, KernelMode::Bitset, KernelMode::Adaptive] {
             for threads in [1, 2, 8] {
                 let par = ParConfig::new(threads).with_chunk(1);
-                let cg =
-                    CliqueGraph::build_par_kernel(&g, 3, CliqueGraphLimits::unlimited(), par, mode)
-                        .unwrap();
+                let req = ListRequest::new(3).with_par(par).with_kernel(mode);
+                let store = req.collect(&dag, None).unwrap();
+                let cg = CliqueGraph::from_store_par(
+                    g.num_nodes(),
+                    store,
+                    CliqueGraphLimits::unlimited(),
+                    par,
+                )
+                .unwrap();
                 assert_eq!(cg.cliques(), base.cliques(), "{mode} threads={threads}");
                 assert_eq!(cg.num_conflicts(), base.num_conflicts());
                 for id in 0..cg.num_cliques() as u32 {
                     assert_eq!(cg.conflicts(id), base.conflicts(id));
                 }
                 // Budget decisions are mode- and schedule-independent too.
-                let err = CliqueGraph::build_par_kernel(
-                    &g,
-                    3,
-                    CliqueGraphLimits { max_cliques: Some(3), max_conflicts: None },
-                    par,
-                    mode,
-                )
-                .unwrap_err();
-                assert_eq!(err, CliqueGraphError::TooManyCliques { limit: 3 });
+                assert_eq!(req.collect(&dag, Some(3)), Err(3), "{mode} threads={threads}");
             }
         }
     }

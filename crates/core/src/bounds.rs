@@ -2,7 +2,7 @@
 //! scores) and Theorem 3 (k-approximation of any maximal solution).
 
 use crate::SolveError;
-use dkc_clique::node_scores;
+use dkc_clique::ListRequest;
 use dkc_cliquegraph::{CliqueGraph, CliqueGraphLimits};
 use dkc_graph::{CsrGraph, Dag, NodeOrder, OrderingKind};
 
@@ -42,7 +42,7 @@ pub fn verify_theorem2(g: &CsrGraph, k: usize) -> Result<usize, SolveError> {
     crate::check_k(k)?;
     let cg = CliqueGraph::build(g, k, CliqueGraphLimits::unlimited())?;
     let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
-    let scores = node_scores(&dag, k);
+    let scores = ListRequest::new(k).scores(&dag);
     for id in 0..cg.num_cliques() as u32 {
         let c = cg.clique(id);
         let bounds = clique_degree_bounds(c.score(&scores), k);

@@ -1,5 +1,5 @@
 use crate::{check_k, Solution, SolveError, Solver};
-use dkc_clique::{collect_kcliques_store_budgeted, node_scores_parallel, Clique};
+use dkc_clique::{Clique, ListRequest};
 use dkc_graph::{CsrGraph, Dag, NodeOrder, OrderingKind};
 use dkc_par::ParConfig;
 
@@ -54,14 +54,16 @@ impl Solver for GcSolver {
         let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
         // The budget is enforced *during* collection: an over-limit clique
         // population aborts before materialising (deterministic OOM).
-        let cliques = collect_kcliques_store_budgeted(&dag, k, self.max_cliques, self.par)
+        let listing = ListRequest::new(k).with_par(self.par);
+        let cliques = listing
+            .collect(&dag, self.max_cliques)
             .map_err(|limit| SolveError::CliqueBudget { limit })?;
-        let scores = node_scores_parallel(&dag, k, self.par);
+        let scores = listing.scores(&dag);
         // Fixed total clique order: ascending score, ties by canonical
         // member order — deterministic across runs. Sorting clique *ids*
         // against the arena (instead of tupled owned cliques) keeps the
         // sort keys at 4 bytes; member order for fixed `k` is exactly the
-        // legacy `Clique` ordering, so the permutation is unchanged.
+        // `Clique` ordering, so the permutation is unchanged.
         let clique_scores: Vec<u64> =
             cliques.iter().map(|c| c.iter().map(|&u| scores[u as usize]).sum()).collect();
         let mut order: Vec<u32> = (0..cliques.len() as u32).collect();

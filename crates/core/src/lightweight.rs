@@ -1,5 +1,5 @@
 use crate::{check_k, Solution, SolveError, Solver};
-use dkc_clique::{node_scores_parallel, Clique, MinScoreFinder};
+use dkc_clique::{Clique, ListRequest, MinScoreFinder};
 use dkc_graph::{CsrGraph, Dag, NodeId, NodeOrder};
 use dkc_par::{par_for_each_root, ParConfig};
 use std::cmp::Reverse;
@@ -130,7 +130,7 @@ impl LightweightSolver {
         // degeneracy-oriented DAG — the cheapest orientation for listing.
         let score_dag =
             Dag::from_graph(g, NodeOrder::compute(g, dkc_graph::OrderingKind::Degeneracy));
-        let scores = node_scores_parallel(&score_dag, k, self.par);
+        let scores = ListRequest::new(k).with_par(self.par).scores(&score_dag);
         drop(score_dag);
 
         // Lines 3-4: score-ascending total order; every clique is owned by

@@ -1,4 +1,4 @@
-use dkc_clique::{count_kcliques, Clique, CliqueStore};
+use dkc_clique::{Clique, CliqueStore, ListRequest};
 use dkc_graph::{CsrGraph, Dag, NodeId, NodeOrder, OrderingKind};
 
 /// A disjoint k-clique set `S` (Definition 3).
@@ -222,7 +222,7 @@ impl Solution {
         let sub = dkc_graph::InducedSubgraph::of_csr(g, &free);
         let dag =
             Dag::from_graph(sub.graph(), NodeOrder::compute(sub.graph(), OrderingKind::Degeneracy));
-        if count_kcliques(&dag, self.k()) > 0 {
+        if ListRequest::new(self.k()).count(&dag) > 0 {
             return Err(InvalidSolution::NotMaximal);
         }
         Ok(())

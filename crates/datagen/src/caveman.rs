@@ -48,12 +48,12 @@ pub fn relaxed_caveman(num_caves: usize, cave_size: usize, p: f64, seed: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkc_clique::count_kcliques;
+    use dkc_clique::ListRequest;
     use dkc_graph::{Dag, NodeOrder, OrderingKind};
 
     fn triangles(g: &CsrGraph) -> u64 {
         let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
-        count_kcliques(&dag, 3)
+        ListRequest::new(3).count(&dag)
     }
 
     #[test]

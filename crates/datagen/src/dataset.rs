@@ -1,6 +1,6 @@
 //! The dataset registry: one resolution policy for every consumer.
 //!
-//! The `repro` experiments, the criterion benches and the `dkc` CLI all
+//! The `repro` experiments, the `dkc bench` suite and the `dkc` CLI all
 //! need "a graph named X". Before this module each caller regenerated the
 //! synthetic stand-in on every run — at `--scale 1.0` that rebuild costs
 //! far more than the experiment it feeds. [`DatasetRegistry`] resolves a

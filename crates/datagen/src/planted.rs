@@ -75,7 +75,7 @@ pub fn planted_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkc_clique::count_kcliques;
+    use dkc_clique::ListRequest;
     use dkc_graph::{Dag, NodeOrder, OrderingKind};
 
     #[test]
@@ -84,7 +84,7 @@ mod tests {
         assert_eq!(p.graph.num_nodes(), 29);
         assert_eq!(p.graph.num_edges(), 6 * 6); // 6 K4s
         let dag = Dag::from_graph(&p.graph, NodeOrder::compute(&p.graph, OrderingKind::Degeneracy));
-        assert_eq!(count_kcliques(&dag, 4), 6);
+        assert_eq!(ListRequest::new(4).count(&dag), 6);
         assert_eq!(p.planted_count(), 6);
     }
 

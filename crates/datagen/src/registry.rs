@@ -287,7 +287,7 @@ pub fn social_standin(n: usize, m: usize, seed: u64) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkc_clique::count_kcliques;
+    use dkc_clique::ListRequest;
     use dkc_graph::{Dag, GraphStats, NodeOrder, OrderingKind};
 
     #[test]
@@ -304,8 +304,8 @@ mod tests {
         // almost none).
         let g = social_standin(2000, 12000, 7);
         let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-        let t = count_kcliques(&dag, 3);
-        let q = count_kcliques(&dag, 4);
+        let t = ListRequest::new(3).count(&dag);
+        let q = ListRequest::new(4).count(&dag);
         assert!(t > 2000, "only {t} triangles");
         assert!(q > 500, "only {q} 4-cliques");
     }

@@ -72,7 +72,7 @@ mod tests {
             &g,
             dkc_graph::NodeOrder::compute(&g, dkc_graph::OrderingKind::Degeneracy),
         );
-        assert_eq!(dkc_clique::count_kcliques(&dag, 3), 30);
+        assert_eq!(dkc_clique::ListRequest::new(3).count(&dag), 30);
     }
 
     #[test]

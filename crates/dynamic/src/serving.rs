@@ -23,10 +23,11 @@
 //! <dir>/updates.<gen>.log    committed batches since compaction <gen>
 //! ```
 //!
-//! Compaction never touches the live generation's files: it writes
-//! `base.<gen+1>.dkcsr`, atomically renames the new `meta.json` over the
-//! old one, starts a fresh `updates.<gen+1>.log`, and only then garbage-
-//! collects the previous generation. A crash at any point leaves either
+//! Compaction never touches the live generation's files: it writes and
+//! syncs `base.<gen+1>.dkcsr`, writes and syncs `meta.json.tmp`, atomically
+//! renames it over the old `meta.json` and syncs the directory, starts a
+//! fresh `updates.<gen+1>.log`, and only then garbage-collects the
+//! previous generation. A crash at any point leaves either
 //! the complete old generation (meta not yet flipped — the orphan new
 //! base is GC'd later) or the complete new one (empty/missing new log
 //! replays as zero batches); the already-snapshotted batches can never be
@@ -46,10 +47,12 @@ use crate::solver::{BatchOutcome, DynamicSolver, EdgeUpdate, UpdateStats};
 use crate::view::{SharedView, SolutionView};
 use dkc_clique::Clique;
 use dkc_core::{Engine, Solution, SolveError, SolveReport, SolveRequest};
-use dkc_graph::io::{read_snapshot_path, write_snapshot_path, LoadedGraph};
+use dkc_graph::io::{read_snapshot_path, write_snapshot, LoadedGraph};
 use dkc_graph::{CsrGraph, GraphError, NodeId};
 use dkc_improve::ImproveStats;
 use dkc_json::Json;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -537,9 +540,12 @@ fn write_state(
 ) -> Result<(), ServeStateError> {
     // The base goes to a generation-fresh name, never over the live
     // snapshot: until meta.json flips, a crash leaves the previous
-    // generation fully intact (the new base is an orphan, GC'd later).
+    // generation fully intact (the new base is an orphan, GC'd later). It
+    // is synced before the meta that names it can be written.
     let loaded = LoadedGraph::identity(solver.graph().to_csr());
-    write_snapshot_path(&loaded, dir.join(base_file(gen)))?;
+    let base = File::create(dir.join(base_file(gen)))?;
+    write_snapshot(&loaded, &base)?;
+    base.sync_all()?;
     let cliques = Json::Arr(
         solver
             .solution()
@@ -556,10 +562,14 @@ fn write_state(
         ("stats".into(), stats_to_json(solver.stats())),
         ("cliques".into(), cliques),
     ]);
-    // Write-then-rename: the atomic rename is the generation commit point.
+    // Write, sync, rename, sync the directory: the rename is the generation
+    // commit point, and it is durable once the directory entry is on disk.
     let tmp = dir.join(format!("{META_FILE}.tmp"));
-    std::fs::write(&tmp, meta.render())?;
+    let mut meta_file = File::create(&tmp)?;
+    meta_file.write_all(meta.render().as_bytes())?;
+    meta_file.sync_all()?;
     std::fs::rename(&tmp, dir.join(META_FILE))?;
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -632,7 +642,7 @@ mod tests {
     /// generation's base snapshot reaches disk.
     fn write_state_base_only(dir: &Path, solver: &DynamicSolver, gen: u64) {
         let loaded = LoadedGraph::identity(solver.graph().to_csr());
-        write_snapshot_path(&loaded, dir.join(base_file(gen))).unwrap();
+        dkc_graph::io::write_snapshot_path(&loaded, dir.join(base_file(gen))).unwrap();
     }
 
     #[test]

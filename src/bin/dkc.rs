@@ -11,7 +11,7 @@
 //! dkc bench     [--reps N] [--check BASELINE] [--out FILE]   pinned perf suite → one JSON line
 //! dkc bench     summary [FILES...] [--json] [--plot]         fold trajectory files into a table
 //! dkc convert   <in> <out> [--threads N]                     text ⇄ binary .dkcsr snapshot
-//! dkc gen       <dataset> <out> [--scale X] [--seed N]       write a stand-in as an edge list
+//! dkc gen       <dataset> <out> [--scale X] [--seed N]       write a stand-in (edge list, or .dkcsr)
 //! dkc cache     <dataset> --data-dir D [--scale X] [--seed N] [--json]   warm the snapshot cache
 //! dkc cache     evict --data-dir D [--dataset NAME] [--scale X] [--seed N]   GC cache entries
 //! ```
@@ -77,7 +77,7 @@
 //! slice that applied moves, and publishes the improved view as a new
 //! epoch — replicas and restarts replay the exact same slices.
 
-use disjoint_kcliques::clique::count_kcliques_parallel;
+use disjoint_kcliques::clique::ListRequest;
 use disjoint_kcliques::core::{Algo, Budget, Engine, SolveRequest};
 use disjoint_kcliques::datagen::registry::DatasetId;
 use disjoint_kcliques::datagen::{DatasetRegistry, EvictFilter};
@@ -106,7 +106,7 @@ static ALLOC: disjoint_kcliques::bench::mem::TrackingAllocator =
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--batch-delay-ms MS] [--max-node N] [--shards N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [--staleness N] [common flags]\n  dkc replica <shard-addr> [--port P] [--readers N] [--router ADDR --shard I]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--sharded] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content). --threads defaults to the available parallelism (env\nDKC_THREADS overrides); results are identical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
+        "usage:\n  dkc stats <graph> [--kmax K] [common flags]\n  dkc solve <graph> --k K [common flags] [--json]\n  dkc partition <graph> --k K [common flags] [--json]\n  dkc serve <dataset|graph> --k K [--port P] [--state-dir D] [--data-dir D]\n            [--scale X] [--seed N] [--readers N] [--batch-max N]\n            [--batch-delay-ms MS] [--max-node N] [--shards N] [--improve-slice N]\n            [--fsync per-commit|per-batch|snapshot] [--staleness N] [common flags]\n  dkc replica <shard-addr> [--port P] [--readers N] [--router ADDR --shard I]\n  dkc loadgen <host:port> [--conns N] [--ops N] [--warmup N] [--update-pct P]\n            [--improve-pct P] [--improve-steps N] [--batch N] [--nodes N]\n            [--seed N] [--sharded] [--json]\n  dkc bench [--dataset NAME] [--scale X] [--seed N] [--k K] [--reps N]\n            [--threads N] [--out FILE] [--check BASELINE.json] [--stamp DATE]\n            [--host NAME] [--git-rev SHA] [--data-dir D] [--scratch D]\n            [--conns N] [--ops N] [--warmup N] [--batches N] [--batch-size N]\n  dkc bench summary [FILES...] [--json] [--plot]\n  dkc convert <in> <out> [--threads N]\n  dkc gen <dataset> <out> [--scale X] [--seed N]\n  dkc cache <dataset> --data-dir D [--scale X] [--seed N] [--threads N] [--json]\n  dkc cache evict --data-dir D [--dataset NAME] [--scale X] [--seed N]\n\ncommon flags: --algo hg|gc|l|lp|opt|greedy-cg   --threads N\n              --ordering identity|degree-asc|degree-desc|degeneracy|color\n              --max-cliques N --max-conflicts N --mis-nodes N\n              --improve-steps N --improve-seed N\n\n<graph> is a KONECT-style edge list or a binary .dkcsr snapshot (detected\nby content); gen writes a snapshot when <out> ends in .dkcsr. --scale X\nis a fraction of the paper's dataset size, in (0, 1]. --threads defaults\nto the available parallelism (env DKC_THREADS overrides); results are\nidentical for any thread count.\n--algo opt defaults to the standard deterministic OOM/OOT budgets; the\nbudget flags override them for any algorithm. --json prints the engine\nreport as JSON on stdout. serve speaks newline-delimited JSON (see the\ndkc-serve crate docs); with --state-dir it journals updates and restarts\nresume at the exact epoch via snapshot + log replay. bench appends one\nJSON line per run to BENCH_<host>.json and, with --check, exits nonzero\nwhen a gated metric regresses past the committed baseline's tolerance.\nbench summary folds every line of the given trajectory files (default:\nthis host's file) into a per-metric median/min table across runs;\n--plot appends per-metric ASCII sparklines in run order."
     );
     std::process::exit(2);
 }
@@ -273,7 +273,13 @@ fn parse_args() -> Args {
             }
             "--mis-nodes" => args.mis_nodes = Some(value().parse().unwrap_or_else(|_| usage())),
             "--json" => args.json = true,
-            "--scale" => args.scale = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--scale" => {
+                // Stand-ins are sub-samples of the paper's datasets: a scale
+                // outside (0, 1] (NaN and infinities included) is a usage
+                // error, not a generator panic.
+                let scale = value().parse().ok().filter(|s: &f64| *s > 0.0 && *s <= 1.0);
+                args.scale = Some(scale.unwrap_or_else(|| usage()));
+            }
             "--seed" => args.seed = Some(value().parse().unwrap_or_else(|_| usage())),
             "--dataset" => args.dataset = Some(value()),
             "--data-dir" => args.data_dir = Some(value()),
@@ -1034,7 +1040,7 @@ fn cmd_stats(args: &Args) {
     let dag = Dag::from_graph(g, NodeOrder::compute(g, OrderingKind::Degeneracy));
     for k in 3..=args.kmax {
         let t = Instant::now();
-        let count = count_kcliques_parallel(&dag, k, args.par);
+        let count = ListRequest::new(k).with_par(args.par).count(&dag);
         println!("{k}-cliques: {count} ({:.1} ms)", t.elapsed().as_secs_f64() * 1e3);
     }
 }
@@ -1135,14 +1141,20 @@ fn cmd_gen(args: &Args) {
     let id = dataset_for(&args.path);
     let (scale, seed) = (args.scale.unwrap_or(1.0), args.seed.unwrap_or(42));
     let g = id.standin(scale, seed);
-    match write_edge_list_path(&g, out) {
+    let (nodes, edges) = (g.num_nodes(), g.num_edges());
+    let result = if out.ends_with(".dkcsr") {
+        write_snapshot_path(&LoadedGraph::identity(g), out)
+    } else {
+        write_edge_list_path(&g, out)
+    };
+    match result {
         Ok(()) => eprintln!(
             "# wrote {out}: {} stand-in at scale {} seed {} ({} nodes, {} edges)",
             id.name(),
             scale,
             seed,
-            g.num_nodes(),
-            g.num_edges()
+            nodes,
+            edges
         ),
         Err(e) => {
             eprintln!("failed to write {out}: {e}");

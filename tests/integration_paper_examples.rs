@@ -2,7 +2,7 @@
 //! Example 1/2 (Fig. 2), Example 3 (scores), Fig. 3 (clique graph),
 //! Fig. 5 (dynamic swap scenario).
 
-use disjoint_kcliques::clique::{count_kcliques, node_scores, Clique};
+use disjoint_kcliques::clique::{Clique, ListRequest};
 use disjoint_kcliques::cliquegraph::{CliqueGraph, CliqueGraphLimits};
 use disjoint_kcliques::core::{clique_degree_bounds, OptSolver};
 use disjoint_kcliques::graph::{Dag, NodeOrder};
@@ -37,7 +37,7 @@ fn fig2() -> CsrGraph {
 fn example1_seven_3cliques_and_the_two_solution_sizes() {
     let g = fig2();
     let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Identity));
-    assert_eq!(count_kcliques(&dag, 3), 7, "Example 1: exactly seven 3-cliques");
+    assert_eq!(ListRequest::new(3).count(&dag), 7, "Example 1: exactly seven 3-cliques");
 
     // Fig. 2(c): a maximal (not maximum) set of size 2 exists.
     let mut s1 = Solution::new(3);
@@ -55,7 +55,7 @@ fn example1_seven_3cliques_and_the_two_solution_sizes() {
 fn example3_scores_and_theorem2_bounds() {
     let g = fig2();
     let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Identity));
-    let scores = node_scores(&dag, 3);
+    let scores = ListRequest::new(3).scores(&dag);
     // s_n(v6) = s_n(v5) = s_n(v8) = 3.
     assert_eq!(scores[5], 3);
     assert_eq!(scores[4], 3);

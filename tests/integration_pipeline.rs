@@ -1,7 +1,7 @@
 //! End-to-end static pipeline: generators → listing → solvers → analysis,
 //! spanning every crate through the facade.
 
-use disjoint_kcliques::clique::{count_kcliques, node_scores};
+use disjoint_kcliques::clique::ListRequest;
 use disjoint_kcliques::core::{
     approx_guarantee_holds, verify_theorem2, GcSolver, GreedyCliqueGraphSolver, OptSolver,
 };
@@ -82,8 +82,8 @@ fn node_scores_drive_the_lightweight_solver_consistently() {
     let g = relaxed_caveman(25, 5, 0.1, 5);
     let k = 3;
     let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-    let scores = node_scores(&dag, k);
-    assert_eq!(scores.iter().sum::<u64>(), 3 * count_kcliques(&dag, k));
+    let scores = ListRequest::new(k).scores(&dag);
+    assert_eq!(scores.iter().sum::<u64>(), 3 * ListRequest::new(k).count(&dag));
 
     let s = LightweightSolver::lp().solve(&g, k).unwrap();
     let covered: std::collections::HashSet<NodeId> = s.iter_nodes().collect();

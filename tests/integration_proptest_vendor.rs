@@ -33,7 +33,7 @@ proptest! {
             &g,
             disjoint_kcliques::graph::NodeOrder::compute(&g, OrderingKind::Degeneracy),
         );
-        if disjoint_kcliques::clique::count_kcliques(&dag, 3) > 0 {
+        if disjoint_kcliques::clique::ListRequest::new(3).count(&dag) > 0 {
             TRIANGLE_CASES.fetch_add(1, Ordering::Relaxed);
         }
     }

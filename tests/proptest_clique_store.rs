@@ -1,24 +1,10 @@
 //! Property suite for the flat `CliqueStore` arena: round-trips with the
-//! legacy `Vec<Clique>` representation are lossless, mutation mirrors the
-//! boxed model exactly, and the arena listing collectors are
-//! **bit-identical** to the legacy collectors for every kernel mode and
-//! thread count — the contract that let the whole pipeline move onto the
-//! arena without changing a single output byte.
+//! boxed `Vec<Clique>` representation are lossless and mutation mirrors the
+//! boxed model exactly. Listing into the arena is checked against the
+//! sequential slice visitor in `crates/clique/tests/proptests.rs`.
 
-use disjoint_kcliques::clique::{
-    collect_kcliques_kernel, collect_kcliques_parallel_kernel, collect_kcliques_store_kernel,
-    collect_kcliques_store_parallel_kernel, Clique, CliqueStore, KernelMode,
-};
-use disjoint_kcliques::graph::{Dag, NodeOrder, OrderingKind};
-use disjoint_kcliques::prelude::*;
+use disjoint_kcliques::clique::{Clique, CliqueStore};
 use proptest::prelude::*;
-
-fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = CsrGraph> {
-    (6..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n), 0..max_m)
-            .prop_map(move |edges| CsrGraph::from_edges(n as usize, edges).unwrap())
-    })
-}
 
 /// Random `(k, cliques)` fixtures: sorted, duplicate-free rows of width
 /// `k` over a small id space (rows may repeat and overlap — the store
@@ -30,8 +16,6 @@ fn cliques_strategy() -> impl Strategy<Value = (usize, Vec<Clique>)> {
         (Just(k), proptest::collection::vec(row, 0..24))
     })
 }
-
-const MODES: [KernelMode; 3] = [KernelMode::Adaptive, KernelMode::Slice, KernelMode::Bitset];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -80,36 +64,5 @@ proptest! {
         store.sort_canonical();
         model.sort();
         prop_assert_eq!(store.to_cliques(), model);
-    }
-
-    /// The arena listing collectors emit the exact rows, in the exact
-    /// order, of the legacy collectors — for every kernel mode, ordering,
-    /// and thread count (1, 2, 8).
-    #[test]
-    fn arena_listing_is_bit_identical_to_legacy(
-        g in graph_strategy(14, 70),
-        k in 3usize..=4,
-    ) {
-        let dag = Dag::from_graph(&g, NodeOrder::compute(&g, OrderingKind::Degeneracy));
-        for mode in MODES {
-            let legacy = collect_kcliques_kernel(&dag, k, mode);
-            let store = collect_kcliques_store_kernel(&dag, k, mode);
-            prop_assert_eq!(&store.to_cliques(), &legacy, "sequential, mode {:?}", mode);
-            for threads in [1usize, 2, 8] {
-                let par = ParConfig::new(threads).with_chunk(2);
-                let par_legacy = collect_kcliques_parallel_kernel(&dag, k, par, mode);
-                let par_store = collect_kcliques_store_parallel_kernel(&dag, k, par, mode);
-                prop_assert_eq!(&par_legacy, &legacy, "legacy parallel differs");
-                prop_assert_eq!(
-                    &par_store.to_cliques(), &legacy,
-                    "arena parallel differs: mode {:?}, threads {}", mode, threads
-                );
-                // The flat buffer itself is the concatenation of the
-                // legacy rows — the stronger, byte-level statement.
-                let flat: Vec<u32> =
-                    legacy.iter().flat_map(|c| c.as_slice().iter().copied()).collect();
-                prop_assert_eq!(par_store.as_flat(), &flat[..]);
-            }
-        }
     }
 }
